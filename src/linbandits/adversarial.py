@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -66,6 +67,24 @@ class AdversarialPosteriorPair:
         """Mean and full covariance of the exact posterior."""
         cov_shape = self.pi.cov if self.pi.cov.ndim == 2 else np.diag(self.pi.cov)
         return self.pi.mean, self.pi.scale**2 * cov_shape
+
+    @cached_property
+    def conditional_law(self) -> tuple[float, float, float, float, float]:
+        """Marginal of x1 and the conditional slope/sd of x2 given x1."""
+        mean, cov = self.moments()
+        m1, m2 = float(mean[0]), float(mean[1])
+        sd1 = math.sqrt(float(cov[0, 0]))
+        slope = float(cov[0, 1] / cov[0, 0])
+        cond_var = float(cov[1, 1] - cov[0, 1] ** 2 / cov[0, 0])
+        return m1, m2, sd1, slope, math.sqrt(max(cond_var, 1e-300))
+
+    @cached_property
+    def cut_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Conditional means of x2 at the Gauss-Hermite nodes of x1, and the
+        cut survival there in log and linear form. None of it depends on the
+        value a CDF is evaluated at, so a pair computes it once."""
+        mu, log_sf = _cut_log_survival(self, _GH_X)
+        return mu, log_sf, np.exp(log_sf)
 
 
 def _diff_law(pi: GaussianPosterior) -> tuple[float, float]:
@@ -187,7 +206,7 @@ def _gaussian_mass_below_quad(z0: float) -> tuple[float, float]:
     if z0 <= -38.0:
         return 0.0, 1e-300
     lo = max(-38.0, z0 - 24.0)
-    val, err = integrate.quad(lambda z: float(norm_pdf(z)), lo, z0, epsabs=1e-12, limit=200)
+    val, err = integrate.quad(norm_pdf, lo, z0, epsabs=1e-12, limit=200)
     return val, err
 
 
@@ -229,35 +248,25 @@ def analytic_budget_bound(r: float, alpha: float) -> float:
     return (r ** (alpha - 1.0) - 1.0) / (alpha * (alpha - 1.0))
 
 
-def _conditional_law(pair: AdversarialPosteriorPair) -> tuple[float, float, float, float, float]:
-    """Marginal of x1 and the conditional slope/sd of x2 given x1."""
-    mean, cov = pair.moments()
-    m1, m2 = float(mean[0]), float(mean[1])
-    sd1 = math.sqrt(float(cov[0, 0]))
-    slope = float(cov[0, 1] / cov[0, 0])
-    cond_var = float(cov[1, 1] - cov[0, 1] ** 2 / cov[0, 0])
-    return m1, m2, sd1, slope, math.sqrt(max(cond_var, 1e-300))
-
-
-def _cut_log_survival(pair: AdversarialPosteriorPair, x1: np.ndarray) -> np.ndarray:
-    """log P(x2 > b_t | x1) per node; log-space keeps the deep tail exact."""
-    m1, m2, _, slope, cond_sd = _conditional_law(pair)
+def _cut_log_survival(
+    pair: AdversarialPosteriorPair, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional means of x2 at the standardised Hermite ``nodes`` of x1 and
+    log P(x2 > b_t | x1) there; log-space keeps the deep tail exact."""
+    m1, m2, sd1, slope, cond_sd = pair.conditional_law
+    x1 = m1 + math.sqrt(2.0) * sd1 * nodes
     mu = m2 + slope * (x1 - m1)
-    return special.log_ndtr(-(pair.b_t - mu) / cond_sd)
+    return mu, special.log_ndtr(-(pair.b_t - mu) / cond_sd)
 
 
-def _bucb_cdf_from_nodes(
-    pair: AdversarialPosteriorPair, value: float, x1: np.ndarray
-) -> np.ndarray:
+def _bucb_cdf_from_nodes(pair: AdversarialPosteriorPair, value: float) -> np.ndarray:
     """Per-node conditional CDF of x2 under the reweighting, evaluated so that
     the boosted band above the cut never suffers catastrophic cancellation:
     the boosted mass is (r-1+S_b)/r * (1 - S_v/S_b) with the S_b ratio taken
     in log space."""
-    m1, m2, _, slope, cond_sd = _conditional_law(pair)
-    mu = m2 + slope * (x1 - m1)
+    *_, cond_sd = pair.conditional_law
+    mu, log_sf_cut, sf_cut = pair.cut_nodes
     r = pair.r
-    log_sf_cut = _cut_log_survival(pair, x1)
-    sf_cut = np.exp(log_sf_cut)
     if value <= pair.b_t:
         f_val = norm_cdf((value - mu) / cond_sd)
         return f_val / r
@@ -269,9 +278,7 @@ def _bucb_cdf_from_nodes(
 def bucb_second_marginal_cdf(pair: AdversarialPosteriorPair, value: float) -> float:
     """CDF of the second coordinate under the conditional reweighting,
     integrated over the first marginal with Gauss-Hermite nodes."""
-    m1, _, sd1, _, _ = _conditional_law(pair)
-    x1 = m1 + math.sqrt(2.0) * sd1 * _GH_X
-    return float(np.dot(_GH_W, _bucb_cdf_from_nodes(pair, value, x1)) * _GH_NORM)
+    return float(np.dot(_GH_W, _bucb_cdf_from_nodes(pair, value)) * _GH_NORM)
 
 
 def bucb_adversary_quantiles(
@@ -289,7 +296,7 @@ def bucb_adversary_quantiles(
     if abs(gamma - pair.gamma) > 1e-12:
         raise ValueError("gamma must match the construction level")
     _, cov = pair.moments()
-    m1, m2, sd1, slope, cond_sd = _conditional_law(pair)
+    _, m2, sd1, slope, cond_sd = pair.conditional_law
     sd2 = math.sqrt(float(cov[1, 1]))
     b = pair.b_t
 
@@ -326,11 +333,7 @@ def bucb_divergence(pair: AdversarialPosteriorPair, alpha: float) -> tuple[float
     overflowing when the cut sits deep in the conditional tail.
     """
 
-    def value(x: np.ndarray, w: np.ndarray) -> float:
-        m1, _, sd1, _, _ = _conditional_law(pair)
-        x1 = m1 + math.sqrt(2.0) * sd1 * x
-        log_sf = _cut_log_survival(pair, x1)
-        sf = np.exp(log_sf)
+    def value(log_sf: np.ndarray, sf: np.ndarray, w: np.ndarray) -> float:
         r = pair.r
         if alpha == 1.0:
             # S_b * log(1/w) with w = (r-1+S_b)/(r S_b); the S_b log is taken
@@ -343,8 +346,10 @@ def bucb_divergence(pair: AdversarialPosteriorPair, alpha: float) -> tuple[float
         cross = float(np.dot(w, inner) / math.sqrt(math.pi))
         return (cross - 1.0) / (alpha * (alpha - 1.0))
 
-    coarse = value(_GH_X_COARSE, _GH_W_COARSE)
-    fine = value(_GH_X, _GH_W)
+    _, log_sf_coarse = _cut_log_survival(pair, _GH_X_COARSE)
+    coarse = value(log_sf_coarse, np.exp(log_sf_coarse), _GH_W_COARSE)
+    _, log_sf, sf = pair.cut_nodes
+    fine = value(log_sf, sf, _GH_W)
     return fine, abs(fine - coarse)
 
 
@@ -402,15 +407,14 @@ def run_adversarial_episode(
     state = rls_init(2, confidence.lam)
     gap = mu1 - mu2
 
+    if policy == "lints":
+        confidence = replace(confidence, delta=confidence.delta / (4.0 * horizon))
+
     inst = np.zeros(horizon)
     divs = np.zeros(horizon)
     chosen = np.zeros(horizon, dtype=np.int64)
     for t in range(horizon):
-        if policy == "lints":
-            delta_prime = confidence.delta / (4.0 * horizon)
-            scale = beta(replace(confidence, delta=delta_prime), state.step, 2)
-        else:
-            scale = beta(confidence, state.step, 2)
+        scale = beta(confidence, state.step, 2)
         pi = GaussianPosterior(state.estimate, scale, state.design_inv)
 
         if policy == "lints":

@@ -14,6 +14,7 @@ import concurrent.futures
 import configparser
 import math
 import os
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,6 +103,20 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a positive integer")
         if self.workers < 1:
             raise ValueError("workers must be a positive integer")
+        for name in ("base_seed", "instance_seed"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be a non-negative integer")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
+            raise ValueError("noise_sd must be finite and non-negative")
+        if self.theta is not None and not all(math.isfinite(v) for v in self.theta):
+            raise ValueError("theta must be finite")
+        for name in ("name", "output_dir"):
+            if not _round_trips(getattr(self, name)):
+                raise ValueError(
+                    f"{name} {getattr(self, name)!r} cannot be written to a config: "
+                    "no line breaks, no surrounding blanks, and no ';' or '#' at the "
+                    "start or after a blank"
+                )
         if not self.policies:
             raise ValueError("at least one policy is required")
         for p in self.policies:
@@ -121,8 +136,11 @@ class ExperimentConfig:
             raise ValueError(
                 "posterior_scale must be 'auto', 'unit', or 'confidence_radius'"
             )
-        if isinstance(self.s_bound, str) and self.s_bound != "auto":
-            raise ValueError("s_bound must be a number or 'auto'")
+        if isinstance(self.s_bound, str):
+            if self.s_bound != "auto":
+                raise ValueError("s_bound must be a number or 'auto'")
+        elif not (math.isfinite(self.s_bound) and self.s_bound > 0.0):
+            raise ValueError("s_bound must be finite and positive")
         if self.family == "P3" and self.instance_seed is None:
             raise ValueError("family P3 requires instance_seed")
         if self.family == "custom" and self.theta is None:
@@ -181,6 +199,23 @@ class ExperimentConfig:
         return out
 
 
+# An inline comment starts at ';' or '#' when it opens the value or follows
+# whitespace, so such text would be cut off when the config is read back.
+_INLINE_COMMENT = re.compile(r"(^|\s)[;#]")
+
+
+def _round_trips(text: str) -> bool:
+    """Whether ``text`` survives being written as a config value and read back."""
+    single_line = "\n" not in text and "\r" not in text
+    return single_line and text == text.strip() and not _INLINE_COMMENT.search(text)
+
+
+def _parser() -> configparser.ConfigParser:
+    """Values are literal (``%`` is not interpolation syntax) and may carry the
+    inline comments the README's config example uses."""
+    return configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key in ("dim", "n_arms", "horizon", "n_runs", "base_seed", "instance_seed", "workers"):
@@ -201,8 +236,8 @@ def _parse_value(key: str, raw: str):
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a sectioned key=value config file; unknown sections
     or keys are rejected outright."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = _parser()
+    read = parser.read(path, encoding="utf-8")
     if not read:
         raise FileNotFoundError(path)
     values: dict = {}
@@ -257,7 +292,7 @@ def _format_value(key: str, value) -> str:
 
 def save_config(config: ExperimentConfig, path: str) -> None:
     """Serialize back to the sectioned format; load(save(c)) == c."""
-    parser = configparser.ConfigParser()
+    parser = _parser()
     sections = {
         "experiment": {
             "name": config.name,
@@ -293,7 +328,7 @@ def save_config(config: ExperimentConfig, path: str) -> None:
         sections["sweep"] = {"gamma_grid": config.gamma_grid}
     for name, keys in sections.items():
         parser[name] = {k: _format_value(k, v) for k, v in keys.items()}
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         parser.write(fh)
 
 

@@ -9,6 +9,7 @@ scores, so this accuracy is load-bearing.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -51,8 +52,11 @@ _P_LOW = 0.02425
 
 
 def norm_pdf(x):
-    """Standard normal density, elementwise."""
-    x = np.asarray(x, dtype=float)
+    """Standard normal density, elementwise. A Python float skips the array
+    conversion (quadrature calls this once per point); the exponential is
+    numpy's on both paths, so the two agree to the last bit."""
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
@@ -88,7 +92,15 @@ def norm_ppf(p):
     Evaluated on the lower half and mirrored (1 - p is exact there), so the
     tail keeps full relative accuracy. Raises ValueError outside the open
     interval; callers own the boundary semantics of their quantile levels.
+    Scalar float levels are memoised: policies ask for the same level every
+    step.
     """
+    if isinstance(p, float):
+        return _scalar_ppf(p)
+    return _ppf(p)
+
+
+def _ppf(p):
     arr = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("quantile level must lie strictly inside (0, 1)")
@@ -109,3 +121,6 @@ def norm_ppf(p):
         z[safe] = z[safe] - u / (1.0 + 0.5 * z[safe] * u)
     z = np.where(upper, -z, z)
     return float(z[0]) if scalar else z
+
+
+_scalar_ppf = lru_cache(maxsize=256)(_ppf)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.stats as st
 from scipy import integrate
 
+from linbandits import adversarial
 from linbandits.adversarial import (
     Construction,
     analytic_budget_bound,
@@ -19,6 +21,7 @@ from linbandits.adversarial import (
     wrap_bucb,
     wrap_ts,
 )
+from linbandits.normal import norm_pdf, norm_ppf
 from linbandits.posterior import GaussianPosterior
 
 
@@ -226,3 +229,77 @@ def test_short_episodes():
         run_adversarial_episode("lints", (0.0, 1.0), 2.0, 0.1, 10, rng)
     with pytest.raises(ValueError):
         run_adversarial_episode("ucb", (1.0, 0.0), 2.0, 0.1, 10, rng)
+
+
+# SHA-256 of the choices, certificates and cumulative regret of short
+# certified episodes (alpha=2, epsilon=0.1, T=300), recorded before the
+# per-pair node cache, the memoised quantile and the float density path went
+# in. Those are pure refactors: a digest that moves means an output bit moved.
+_EPISODE_DIGESTS = {
+    ("lints", 0): (
+        "ede92e92a4c92ad7bf832fbfb2b3fcd198e5059e1a3d08cf8c61bd2f60541527",
+        "59192108a1af5cc9f78fbaca5dbe10980ea953dd08d8fb498eaed031d08fc1d7",
+        "26f5975120e218ddb22a1c966d3941bf3465459d354e60b6b76286d5bcab457c",
+    ),
+    ("lints", 1): (
+        "b435ac01acbcd917aaf2139c2d738e4b55a74c6798f9d265bb93d2a4633885b0",
+        "1e42184e9c4c7a715d305162f16414249547ef283b68e4cb65208e545b2fb992",
+        "28de07394e27e5207c4f67764d9be8b28335e4dc1433a9e358ecdca7eceb6b62",
+    ),
+    ("linbucb", 0): (
+        "1ba3f0cd46e5a90512e901ce94c0e58ddd0c5e8b2d5e1269abca28c7d975c2ef",
+        "a8744396f488306e6cd869b5e7ec67a1b0021ca74097e63d644ab004c595d1a9",
+        "ceef0682e62f7490533704c4e4edfef865f49d07ab2343605eb79a9b737f767b",
+    ),
+    ("linbucb", 1): (
+        "1ba3f0cd46e5a90512e901ce94c0e58ddd0c5e8b2d5e1269abca28c7d975c2ef",
+        "7518a817c048af66140b27203a41634ed4e30f5dab80912ea5aa81f689571dbb",
+        "ceef0682e62f7490533704c4e4edfef865f49d07ab2343605eb79a9b737f767b",
+    ),
+}
+
+
+def _sha256(arr, dtype) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("policy,seed", sorted(_EPISODE_DIGESTS))
+def test_certified_episode_outputs_are_bit_stable(policy, seed):
+    ep = run_adversarial_episode(
+        policy, (1.0, 0.0), 2.0, 0.1, 300, np.random.default_rng(seed), gamma=0.9
+    )
+    digests = (
+        _sha256(ep.chosen, np.int64),
+        _sha256(ep.divergences, np.float64),
+        _sha256(ep.trace.cumulative, np.float64),
+    )
+    assert digests == _EPISODE_DIGESTS[(policy, seed)]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_float_and_array_normal_paths_agree_bitwise(monkeypatch):
+    # the points adaptive quadrature visits during one certified TS step
+    nodes = []
+
+    def recording_pdf(z):
+        nodes.append(z)
+        return norm_pdf(z)
+
+    monkeypatch.setattr(adversarial, "norm_pdf", recording_pdf)
+    pi = _posterior(mean=(0.7, 0.2), scale=1.4, cov=[[0.9, 0.2], [0.2, 1.2]])
+    ts_divergence(wrap_ts(pi, choose_r(2.0, 0.1)), 2.0)
+    assert len(nodes) > 20 and all(type(z) is float for z in nodes)
+
+    grid = np.concatenate([nodes, np.linspace(-40.0, 40.0, 4001), [-0.0, 1e-300, 37.5]])
+    assert _bits([norm_pdf(float(z)) for z in grid]) == _bits(norm_pdf(grid))
+
+    levels = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 2001), [1e-300, 0.6, 0.9, 0.975]])
+    assert _bits([norm_ppf(float(p)) for p in levels]) == _bits(norm_ppf(levels))
+    # a second pass is served by the memo and must not differ either
+    assert _bits([norm_ppf(float(p)) for p in levels]) == _bits(norm_ppf(levels))
+    for bad in (0.0, 1.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            norm_ppf(bad)

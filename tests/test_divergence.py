@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from linbandits.divergence import (
     two_region_reweight,
     verify_invariance,
 )
+from linbandits import verify
 from linbandits.linalg import ConfidenceParams
 
 
@@ -320,3 +322,27 @@ def test_invariance_monte_carlo_for_reweighted_laws():
     q2 = two_region_reweight(0.0, 1.0, -0.1, 0.9)
     report = verify_invariance(q1, q2, 0.7, 1.4, alpha=2.0, rng=rng, mc_samples=60_000)
     assert report.passed
+
+
+_MC_CHECK = "monte carlo within corrected standard errors"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_divergence_suite_passes_across_seeds(seed):
+    # about 300 Monte-Carlo comparisons per run: an uncorrected 3-se band
+    # fails correct estimators at roughly half of these seeds
+    failed = [c for c in verify.suite_divergence(seed=seed) if not c.passed]
+    assert not failed, failed
+
+
+def test_divergence_suite_flags_biased_monte_carlo(monkeypatch):
+    def biased(p1, p2, alpha, method, **kwargs):
+        res = alpha_divergence(p1, p2, alpha, method, **kwargs)
+        if method is Method.MONTE_CARLO:
+            return replace(res, value=res.value + 5.0 * res.error_estimate)
+        return res
+
+    monkeypatch.setattr(verify, "alpha_divergence", biased)
+    checks = {c.name: c for c in verify.suite_divergence(seed=0, n_pairs=20, n_maps=1)}
+    assert not checks[_MC_CHECK].passed
+    assert "family-wise" in checks[_MC_CHECK].detail

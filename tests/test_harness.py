@@ -1,7 +1,12 @@
+import math
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linbandits.harness import (
     ExperimentConfig,
@@ -67,6 +72,83 @@ def test_config_validation():
         _tiny(posterior_scale="always")
     with pytest.raises(ValueError):
         _tiny(family="P3", instance_seed=None)
+
+
+def test_readme_config_block_loads_verbatim(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    path = os.path.join(tmp_path, "readme.cfg")
+    with open(path, "w") as fh:
+        fh.write(block)
+    config = load_config(path)
+    assert config.name == "p3-reference"
+    assert config.instance_seed == 7
+    assert config.workers == 1
+    assert config.s_bound == "auto"
+    assert config.policies == ("lints", "lints_approx", "linbucb", "linbucb_approx")
+    assert config.gamma_grid == (0.5, 0.55, 0.6, 0.65, 0.7)
+
+
+def test_percent_in_name_round_trips(tmp_path):
+    config = _tiny(name="50%-run", output_dir="out/100%")
+    path = os.path.join(tmp_path, "config.cfg")
+    save_config(config, path)
+    assert load_config(path) == config
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    noise_sd=st.floats(min_value=0.0, allow_infinity=False),
+    s_bound=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_config_round_trip_or_rejection(name, noise_sd, s_bound):
+    # every config that constructs survives save/load; the rest never constructs
+    try:
+        config = _tiny(name=name, noise_sd=noise_sd, s_bound=s_bound)
+    except ValueError as exc:
+        assert "cannot be written to a config" in str(exc)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.cfg")
+        save_config(config, path)
+        assert load_config(path) == config
+
+
+@pytest.mark.parametrize("name", ["a ;b", "a #b", "a\t;b", ";lead", "#lead", " pad", "two\nlines"])
+def test_names_that_cannot_round_trip_are_rejected(name):
+    with pytest.raises(ValueError, match="cannot be written to a config"):
+        _tiny(name=name)
+    with pytest.raises(ValueError, match="cannot be written to a config"):
+        _tiny(output_dir=name)
+    _tiny(name="a;b#c")  # no blank before the marker: not a comment
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("noise_sd", math.nan),
+        ("noise_sd", -0.1),
+        ("noise_sd", math.inf),
+        ("base_seed", -1),
+        ("instance_seed", -3),
+        ("s_bound", 0.0),
+        ("s_bound", -1.0),
+        ("s_bound", math.inf),
+        ("s_bound", math.nan),
+    ],
+)
+def test_bad_numbers_rejected_before_any_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        _tiny(**{field: value})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_rejected(bad):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        _tiny(family="custom", dim=2, theta=(1.0, bad))
+    _tiny(family="custom", dim=2, theta=(1.0, 0.5))
 
 
 def test_single_arm_single_step_has_zero_regret():
