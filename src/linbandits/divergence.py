@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import solve_triangular
 
 from .linalg import ConfidenceParams, beta
 from .normal import norm_cdf, norm_ppf
@@ -51,18 +52,31 @@ class Gaussian:
         self.cov = cov
         self._chol = chol
         self._logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        self._mean0 = float(mean[0])
+        self._sd0 = float(chol[0, 0])
 
     @property
     def dim(self) -> int:
         return self.mean.size
 
-    def logpdf(self, x) -> np.ndarray:
+    def logpdf(self, x) -> np.ndarray | float:
+        """Log-density at one point or at an ``(n, dim)`` array of points.
+
+        A univariate descriptor given a Python float returns a Python float
+        and touches no array: the quadrature integrands evaluate one point
+        per call. That float path divides by the Cholesky diagonal, as the
+        triangular solve of the array path does for a single point, so
+        ``logpdf(x) == logpdf([x])[0]`` bit for bit.
+        """
+        if self.dim == 1 and isinstance(x, float):
+            z = (x - self._mean0) / self._sd0
+            return -0.5 * (z * z) - 0.5 * self._logdet - _LOG_SQRT_2PI
         pts = np.asarray(x, dtype=float)
         if pts.ndim == 1 and self.dim == 1:
             pts = pts.reshape(-1, 1)  # flat arrays are n scalar points
         pts = np.atleast_2d(pts)
         diff = pts - self.mean
-        sol = np.linalg.solve(self._chol, diff.T)
+        sol = solve_triangular(self._chol, diff.T, lower=True, check_finite=False)
         quad = np.sum(sol * sol, axis=0)
         return -0.5 * quad - 0.5 * self._logdet - self.dim * _LOG_SQRT_2PI
 
@@ -357,18 +371,27 @@ def _closed_form(p1, p2, alpha: float) -> float | None:
     return (cross - 1.0) / (alpha * (alpha - 1.0))
 
 
+def _point_logpdf(p) -> Callable[[float], float]:
+    """One-point log-density for the quadrature integrands: a univariate
+    Gaussian takes the float path of its ``logpdf``."""
+    if isinstance(p, Gaussian):
+        return p.logpdf
+    return lambda x: float(p.logpdf([x])[0])
+
+
 def _quadrature(p1, p2, alpha: float, tolerance: float) -> tuple[float, float]:
     lo1, hi1 = p1.support_bounds()
     lo2, hi2 = p2.support_bounds()
     lo, hi = min(lo1, lo2), max(hi1, hi2)
     pts = sorted(c for c in (*p1.breakpoints(), *p2.breakpoints()) if lo < c < hi)
+    log1, log2 = _point_logpdf(p1), _point_logpdf(p2)
 
     if alpha in (0.0, 1.0):
-        ref, other = (p1, p2) if alpha == 1.0 else (p2, p1)
+        ref, other = (log1, log2) if alpha == 1.0 else (log2, log1)
 
         def integrand(x: float) -> float:
-            la = float(ref.logpdf([x])[0])
-            lb = float(other.logpdf([x])[0])
+            la = ref(x)
+            lb = other(x)
             return math.exp(la) * (la - lb)
 
         val, err = integrate.quad(
@@ -377,9 +400,7 @@ def _quadrature(p1, p2, alpha: float, tolerance: float) -> tuple[float, float]:
         return val, err
 
     def integrand(x: float) -> float:
-        la = float(p1.logpdf([x])[0])
-        lb = float(p2.logpdf([x])[0])
-        return math.exp(alpha * la + (1.0 - alpha) * lb)
+        return math.exp(alpha * log1(x) + (1.0 - alpha) * log2(x))
 
     cross, err = integrate.quad(
         integrand, lo, hi, epsabs=tolerance, epsrel=1e-12, limit=300, points=pts or None

@@ -72,6 +72,46 @@ def test_kl_limits_match_gaussian_formula():
     assert alpha_divergence(g1, g2, 0.0).value == pytest.approx(kl(g2, g1), abs=1e-10)
 
 
+def _closed_form_logpdf(x, mean, cov):
+    # oracle: explicit inverse and log-determinant, no Cholesky factor
+    x, mean, cov = np.atleast_2d(x), np.asarray(mean), np.asarray(cov)
+    diff = x - mean
+    maha = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(cov), diff)
+    _, logdet = np.linalg.slogdet(cov)
+    return -0.5 * maha - 0.5 * logdet - 0.5 * mean.size * math.log(2.0 * math.pi)
+
+
+def test_univariate_logpdf_float_and_array_paths():
+    mean, sd = 0.37, 1.9
+    g = Gaussian([mean], [[sd**2]])
+    xs = np.array([-25.0, -3.1, -0.2, 0.0, 0.37, 1.0, 4.4, 30.0])
+    exact = _closed_form_logpdf(xs.reshape(-1, 1), [mean], [[sd**2]])
+    flat = g.logpdf(xs)
+    column = g.logpdf(xs.reshape(-1, 1))
+    np.testing.assert_allclose(flat, exact, rtol=1e-12)
+    np.testing.assert_array_equal(column, flat)
+    for x, want in zip(xs.tolist(), exact):
+        got = g.logpdf(x)
+        assert type(got) is float
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == g.logpdf([x])[0]  # bit-identical to a one-point array
+
+
+def test_logpdf_with_steep_cholesky_factor():
+    # A below-diagonal entry larger than its diagonal: partial pivoting would
+    # swap rows of this factor, a triangular solve does not.
+    chol = np.array([[0.5, 0.0, 0.0], [2.0, 0.3, 0.0], [-1.5, 1.2, 0.4]])
+    cov = chol @ chol.T
+    mean = np.array([0.2, -1.0, 0.5])
+    g = Gaussian(mean, cov)
+    assert abs(g._chol[1, 0]) > g._chol[0, 0]
+    pts = np.random.default_rng(21).normal(0.0, 2.0, size=(50, 3))
+    np.testing.assert_allclose(g.logpdf(pts), _closed_form_logpdf(pts, mean, cov), rtol=1e-12)
+    np.testing.assert_allclose(
+        g.logpdf(pts[0]), _closed_form_logpdf(pts[0], mean, cov), rtol=1e-12
+    )
+
+
 def test_kl_quadrature_agrees_with_closed_form():
     g1 = Gaussian([0.5], [[1.3]])
     g2 = Gaussian([-0.2], [[0.9]])

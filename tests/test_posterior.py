@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from linbandits import posterior
 from linbandits.normal import norm_cdf, norm_ppf
 from linbandits.posterior import (
     GaussianPosterior,
@@ -187,6 +188,32 @@ def test_certify_type2_dimension_free():
     for est in estimates:
         assert abs(est - target) < 4 * se  # max over 64 directions biases slightly up
     assert max(estimates) - min(estimates) < 3 * math.sqrt(2) * se
+
+
+def _type2_samples_by_directions(sampler, delta, directions, samples, rng):
+    # Reference in the transposed layout: a (samples, directions) array
+    # filled with eta @ u.T and reduced column-wise. Order statistics do not
+    # depend on the layout, so both must agree bit for bit.
+    dim = sampler(1, rng).shape[1]
+    u = rng.standard_normal((directions, dim))
+    u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    projections = np.empty((samples, directions))
+    drawn = 0
+    while drawn < samples:
+        n = min(posterior._CHUNK, samples - drawn)
+        projections[drawn : drawn + n] = sampler(n, rng) @ u.T
+        drawn += n
+    return float(np.max(np.quantile(projections, 1.0 - delta, axis=0)))
+
+
+@pytest.mark.parametrize("dim", [2, 20, 200])
+def test_certify_type2_matches_samples_by_directions_layout(monkeypatch, dim):
+    monkeypatch.setattr(posterior, "_CHUNK", 700)  # five chunks, the last one partial
+    for delta in (0.05, 0.25):
+        args = (standard_normal_sampler(dim), delta, 64, 3_100)
+        got = certify_concentration_type2(*args, np.random.default_rng(dim))
+        want = _type2_samples_by_directions(*args, np.random.default_rng(dim))
+        assert got == want
 
 
 def test_certify_type1_feasibility():
