@@ -156,10 +156,8 @@ def select_arm(
     post = _posterior(state, config, arm_matrix.shape[1])
     if config.kind is Kind.LINTS:
         theta = post.sample(rng)
-        scores = arm_matrix @ theta
-    else:
-        scores = post.arm_value_quantiles(arm_matrix, config.gamma)
-    return int(np.argmax(scores))
+        return int(np.argmax(arm_matrix @ theta))
+    return post.best_quantile_arm(arm_matrix, config.gamma)
 
 
 def update(state: PolicyState, config: PolicyConfig, arm, reward: float) -> PolicyState:

@@ -64,16 +64,22 @@ class Gaussian:
 
         A univariate descriptor given a Python float returns a Python float
         and touches no array: the quadrature integrands evaluate one point
-        per call. That float path divides by the Cholesky diagonal, as the
-        triangular solve of the array path does for a single point, so
-        ``logpdf(x) == logpdf([x])[0]`` bit for bit.
+        per call. Univariate points standardize as ``(x - mean) / sd`` on
+        both paths, so a point's log-density does not depend on how points
+        are batched: ``logpdf(x) == logpdf([x, ...])[0]`` bit for bit. (A
+        triangular solve would divide for one point but multiply by the
+        reciprocal for several.)
         """
         if self.dim == 1 and isinstance(x, float):
             z = (x - self._mean0) / self._sd0
             return -0.5 * (z * z) - 0.5 * self._logdet - _LOG_SQRT_2PI
         pts = np.asarray(x, dtype=float)
-        if pts.ndim == 1 and self.dim == 1:
-            pts = pts.reshape(-1, 1)  # flat arrays are n scalar points
+        if self.dim == 1:
+            # flat arrays and (n, 1) columns are n scalar points
+            if pts.ndim > 2 or (pts.ndim == 2 and pts.shape[1] != 1):
+                raise ValueError("univariate points must be a flat or an (n, 1) array")
+            z = (pts.reshape(-1) - self._mean0) / self._sd0
+            return -0.5 * (z * z) - 0.5 * self._logdet - _LOG_SQRT_2PI
         pts = np.atleast_2d(pts)
         diff = pts - self.mean
         sol = solve_triangular(self._chol, diff.T, lower=True, check_finite=False)

@@ -103,10 +103,14 @@ def rls_update(state: RlsState, arm, reward: float) -> RlsState:
     x = _as_vector(arm, state.dim, "arm")
     r = _check_reward(reward)
 
-    design = state.design + np.outer(x, x)
+    # Two fresh d x d arrays, filled in place; the old state is never written.
+    design = np.multiply.outer(x, x)
+    design += state.design
     vx = state.design_inv @ x
     denom = 1.0 + float(x @ vx)
-    design_inv = state.design_inv - np.outer(vx, vx) / denom
+    design_inv = np.multiply.outer(vx, vx)
+    design_inv /= denom
+    np.subtract(state.design_inv, design_inv, out=design_inv)
 
     step = state.step + 1
     if step % REINVERT_PERIOD == 0:
@@ -227,14 +231,3 @@ def weighted_norm(weight, x) -> float:
     if q < -1e-10:
         raise ValueError("weight is not positive semi-definite on this input")
     return math.sqrt(max(q, 0.0))
-
-
-def weighted_norms(weight, arms: np.ndarray) -> np.ndarray:
-    """Row-wise weighted norms for a (K, d) arm matrix."""
-    a = np.asarray(arms, dtype=float)
-    w = np.asarray(weight, dtype=float)
-    if w.ndim == 1:
-        q = np.sum(a * a * w, axis=1)
-    else:
-        q = np.einsum("ij,jk,ik->i", a, w, a)
-    return np.sqrt(np.maximum(q, 0.0))

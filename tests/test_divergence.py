@@ -97,6 +97,18 @@ def test_univariate_logpdf_float_and_array_paths():
         assert got == g.logpdf([x])[0]  # bit-identical to a one-point array
 
 
+def test_univariate_logpdf_does_not_depend_on_batching():
+    g = Gaussian([-0.41], [[2.7]])
+    xs = np.random.default_rng(22).normal(0.0, 3.0, size=2000)
+    batched = g.logpdf(xs)
+    singles = np.array([g.logpdf(x) for x in xs.tolist()])
+    np.testing.assert_array_equal(batched, singles)
+    np.testing.assert_array_equal(g.logpdf(xs[:7].reshape(-1, 1)), singles[:7])
+    np.testing.assert_array_equal(g.logpdf(xs[:1]), singles[:1])
+    with pytest.raises(ValueError):
+        g.logpdf(xs[:6].reshape(2, 3))
+
+
 def test_logpdf_with_steep_cholesky_factor():
     # A below-diagonal entry larger than its diagonal: partial pivoting would
     # swap rows of this factor, a triangular solve does not.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linbandits.linalg import (
+    REINVERT_PERIOD,
     ConfidenceParams,
     EstimateMode,
     beta,
@@ -45,6 +46,36 @@ def test_incremental_inverse_tracks_dense_inverse():
         state = rls_update(state, arm, rng.normal())
     dense = np.linalg.inv(state.design)
     assert np.max(np.abs(state.design_inv - dense)) < 1e-8
+
+
+def _reference_rls_update(state, x, r):
+    # the rank-1 update as plain expressions, one temporary per operation
+    design = state.design + np.outer(x, x)
+    vx = state.design_inv @ x
+    design_inv = state.design_inv - np.outer(vx, vx) / (1.0 + float(x @ vx))
+    if (state.step + 1) % REINVERT_PERIOD == 0:
+        design_inv = np.linalg.inv(design)
+        design_inv = 0.5 * (design_inv + design_inv.T)
+    moment = state.moment + r * x
+    return design, design_inv, moment, design_inv @ moment
+
+
+@pytest.mark.parametrize("dim", [1, 20, 200])
+def test_rls_update_matches_plain_expressions_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    state = rls_init(dim, 1.0)
+    for _ in range(REINVERT_PERIOD + 40):
+        arm = rng.standard_normal(dim) / math.sqrt(dim)
+        reward = float(rng.normal())
+        before = (state.design.copy(), state.design_inv.copy(), state.moment.copy())
+        expected = _reference_rls_update(state, arm, reward)
+        new = rls_update(state, arm, reward)
+        for got, want in zip((new.design, new.design_inv, new.moment, new.estimate), expected):
+            np.testing.assert_array_equal(got, want)
+        # the previous state is never written
+        for got, want in zip((state.design, state.design_inv, state.moment), before):
+            np.testing.assert_array_equal(got, want)
+        state = new
 
 
 def test_rejects_non_finite_inputs():
