@@ -108,8 +108,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a non-negative integer")
         if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
             raise ValueError("noise_sd must be finite and non-negative")
-        if self.theta is not None and not all(math.isfinite(v) for v in self.theta):
-            raise ValueError("theta must be finite")
+        if self.theta is not None:
+            if not all(math.isfinite(v) for v in self.theta):
+                raise ValueError("theta must be finite")
+            if len(self.theta) != self.dim:
+                raise ValueError(f"theta must have dim={self.dim} entries, got {len(self.theta)}")
         for name in ("name", "output_dir"):
             if not _round_trips(getattr(self, name)):
                 raise ValueError(
@@ -128,6 +131,11 @@ class ExperimentConfig:
             raise ValueError("arm_scaling must be 'ball' or 'sphere'")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
+        if self.gamma_grid is not None:
+            if not self.gamma_grid:
+                raise ValueError("gamma_grid must be non-empty")
+            if not all(0.0 < g < 1.0 for g in self.gamma_grid):
+                raise ValueError("every gamma_grid level must lie in (0, 1)")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
         if self.approx_mode not in ("mean_and_cov", "cov_only"):
@@ -393,39 +401,64 @@ def _run_streams(config: ExperimentConfig, run_idx: int):
     return arm_rng, noise_rng, policy_rngs
 
 
+# Bytes of arm sets a run holds at once: arm sets are drawn one block of steps
+# at a time into one reused buffer of this size, so a run's memory depends on
+# K·d and not on the horizon. 1 MiB holds 13 steps at d=200, K=50 and 655 at
+# the reference d=20, K=10.
+ARM_BLOCK_BYTES = 1 << 20
+
+
 def _run_single(
     config: ExperimentConfig, run_idx: int, gamma: float | None = None
 ) -> dict[str, RegretTrace]:
+    """Step every policy through one run and return its regret traces.
+
+    The run draws ``ARM_BLOCK_BYTES // (8·K·d)`` steps of arm sets (clipped
+    to ``[1, horizon]``) into one reused buffer, and each policy in turn steps
+    through the whole block before the next block is drawn. Every stream is
+    consumed in the same order as if all arm sets were drawn up front: the arm
+    rng step by step, each policy's rng in its own step order, and the noise
+    by step, so the traces do not depend on the block length. When a step
+    fails, the first failure in (block, policy, step) order is reported, with
+    its policy and step.
+    """
     instance = config.instance()
     policy_configs = config.policy_configs(gamma)
     arm_rng, noise_rng, policy_rngs = _run_streams(config, run_idx)
 
     t_max, k, d = config.horizon, config.n_arms, config.dim
-    arm_sets = np.empty((t_max, k, d))
-    for t in range(t_max):
-        arm_sets[t] = sample_arm_set(d, k, arm_rng, config.arm_scaling)
-    noise = noise_rng.standard_normal(t_max) * config.noise_sd
+    block = min(max(1, ARM_BLOCK_BYTES // (8 * k * d)), t_max)
+    arm_sets = np.empty((block, k, d))
+    values = np.empty((block, k))
     theta = instance.theta_star
 
-    out: dict[str, RegretTrace] = {}
-    for pcfg, prng in zip(policy_configs, policy_rngs):
-        state = algorithms.init_policy(pcfg, d)
-        inst = np.zeros(t_max)
-        try:
-            for t in range(t_max):
-                arms = arm_sets[t]
-                values = arms @ theta
-                idx = algorithms.select_arm(state, pcfg, arms, prng)
-                inst[t] = float(np.max(values) - values[idx])
-                observed = float(values[idx] + noise[t])
-                state = algorithms.update(state, pcfg, arms[idx], observed)
-        except Exception as exc:
-            raise RuntimeError(
-                f"run failed at seed={config.base_seed}+run {run_idx}, "
-                f"policy={pcfg.name}, step={t + 1}: {exc}"
-            ) from exc
-        out[pcfg.name] = RegretTrace.from_instantaneous(inst)
-    return out
+    states = [algorithms.init_policy(pcfg, d) for pcfg in policy_configs]
+    inst = [np.zeros(t_max) for _ in policy_configs]
+    for start in range(0, t_max, block):
+        steps = min(block, t_max - start)
+        for i in range(steps):
+            arm_sets[i] = sample_arm_set(d, k, arm_rng, config.arm_scaling)
+            values[i] = arm_sets[i] @ theta
+        noise = noise_rng.standard_normal(steps) * config.noise_sd
+        for p, (pcfg, prng) in enumerate(zip(policy_configs, policy_rngs)):
+            state, regret = states[p], inst[p]
+            try:
+                for i in range(steps):
+                    arms, vals = arm_sets[i], values[i]
+                    idx = algorithms.select_arm(state, pcfg, arms, prng)
+                    regret[start + i] = float(np.max(vals) - vals[idx])
+                    observed = float(vals[idx] + noise[i])
+                    state = algorithms.update(state, pcfg, arms[idx], observed)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"run failed at seed={config.base_seed}+run {run_idx}, "
+                    f"policy={pcfg.name}, step={start + i + 1}: {exc}"
+                ) from exc
+            states[p] = state
+    return {
+        pcfg.name: RegretTrace.from_instantaneous(regret)
+        for pcfg, regret in zip(policy_configs, inst)
+    }
 
 
 def run_experiment(config: ExperimentConfig, gamma: float | None = None) -> ExperimentResult:
@@ -457,12 +490,11 @@ def sensitivity_sweep(config: ExperimentConfig, gamma_grid) -> list[SweepRow]:
     """Re-run the quantile-selection policies across a grid of levels with
     shared streams, so the comparison across gamma is paired."""
     grid = tuple(float(g) for g in gamma_grid)
-    if not grid:
-        raise ValueError("gamma_grid must be non-empty")
     bucb_only = tuple(p for p in config.policies if p.startswith("linbucb"))
     if not bucb_only:
         raise ValueError("sweep requires at least one quantile-selection policy")
-    sweep_config = replace(config, policies=bucb_only)
+    # the config validates the grid, so a bad level fails before any run
+    sweep_config = replace(config, policies=bucb_only, gamma_grid=grid)
     rows: list[SweepRow] = []
     for g in grid:
         result = run_experiment(sweep_config, gamma=g)

@@ -1,7 +1,9 @@
+import hashlib
 import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from linbandits.harness import (
     run_experiment,
     save_config,
     sensitivity_sweep,
+    write_aggregate_csv,
+    write_traces_csv,
 )
 
 
@@ -137,11 +141,18 @@ def test_names_that_cannot_round_trip_are_rejected(name):
         ("s_bound", -1.0),
         ("s_bound", math.inf),
         ("s_bound", math.nan),
+        ("gamma_grid", (0.5, 1.5)),
+        ("gamma_grid", (math.nan,)),
+        ("gamma_grid", ()),
+        ("theta", (1.0, 0.5)),
     ],
 )
 def test_bad_numbers_rejected_before_any_run(field, value):
     with pytest.raises(ValueError, match=field):
         _tiny(**{field: value})
+    if field == "theta":
+        with pytest.raises(ValueError, match=field):
+            _tiny(family="custom", **{field: value})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -278,9 +289,20 @@ def test_sweep_rows_and_pairing(tmp_path):
         sensitivity_sweep(_tiny(policies=("lints",)), (0.5,))
 
 
-def test_run_failure_reports_context():
+def test_sweep_rejects_bad_level_before_any_run(monkeypatch):
+    from linbandits import harness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a level ran before the grid was checked")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    for grid in ((0.5, 1.5), (math.nan,), ()):
+        with pytest.raises(ValueError, match="gamma_grid"):
+            sensitivity_sweep(_tiny(), grid)
+
+
+def test_run_failure_reports_context(monkeypatch):
     config = _tiny()
-    bad = config.policy_configs()[0]
     from linbandits import harness
 
     # horizon mismatch cannot happen through the public API, so force a
@@ -290,9 +312,74 @@ def test_run_failure_reports_context():
     def boom(*args, **kwargs):
         raise RuntimeError("kaput")
 
-    harness.algorithms.select_arm = boom
+    monkeypatch.setattr(harness.algorithms, "select_arm", boom)
+    with pytest.raises(RuntimeError, match="policy=lints, step=1"):
+        harness._run_single(config, 0)
+
+    # a failure of the second policy in the second block is reported before
+    # the first policy has gone past that block
+    block = 7
+    monkeypatch.setattr(harness, "ARM_BLOCK_BYTES", block * 8 * config.n_arms * config.dim)
+    calls = {"lints": 0, "linbucb": 0}
+
+    def fail_late(state, pcfg, arms, rng):
+        calls[pcfg.name] += 1
+        if pcfg.name == "linbucb" and calls["linbucb"] == block + 3:
+            raise RuntimeError("kaput")
+        return original(state, pcfg, arms, rng)
+
+    monkeypatch.setattr(harness.algorithms, "select_arm", fail_late)
+    with pytest.raises(RuntimeError, match=f"policy=linbucb, step={block + 3}:"):
+        harness._run_single(config, 0)
+    assert calls == {"lints": 2 * block, "linbucb": block + 3}
+
+
+# SHA-256 of traces.csv and aggregate.csv for _BLOCK_GOLDEN, recorded with
+# every arm set of a run drawn before its first step
+_BLOCK_GOLDEN_TRACES = "20cb88f69c35bcefcc41a55a3cf67a079e1e1fce515b0fd0342ac5969b721abc"
+_BLOCK_GOLDEN_AGGREGATE = "4de431d4ab1eac31bcf41da9f9e2008d793bac983d7305942b456abc98e1d7a1"
+_BLOCK_GOLDEN = dict(
+    family="P3",
+    dim=20,
+    n_arms=10,
+    horizon=300,
+    n_runs=2,
+    base_seed=20240601,
+    instance_seed=7,
+    policies=("lints", "lints_approx", "linbucb", "linbucb_approx"),
+)
+
+
+@pytest.mark.parametrize("block", [1, 7, 300, 10_000])
+def test_outputs_do_not_depend_on_block_length(block, monkeypatch, tmp_path):
+    from linbandits import harness
+
+    config = ExperimentConfig(**_BLOCK_GOLDEN)
+    step_bytes = 8 * config.n_arms * config.dim
+    # one byte short of block + 1 steps; 7 does not divide the horizon, so
+    # the last block is short, and 10 000 is clipped to the horizon
+    monkeypatch.setattr(harness, "ARM_BLOCK_BYTES", block * step_bytes + step_bytes - 1)
+    result = run_experiment(config)
+    write_traces_csv(result, tmp_path / "traces.csv")
+    write_aggregate_csv(result.aggregates(), tmp_path / "aggregate.csv")
+    for name, digest in (
+        ("traces.csv", _BLOCK_GOLDEN_TRACES),
+        ("aggregate.csv", _BLOCK_GOLDEN_AGGREGATE),
+    ):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_run_memory_does_not_grow_with_horizon():
+    from linbandits import harness
+
+    # all arm sets of this run take 64 MB; a run holds one block of them
+    config = _tiny(dim=100, n_arms=40, horizon=2000, n_runs=1, policies=("lints_approx",))
+    budget = 4 * 2**20
+    assert config.horizon * config.n_arms * config.dim * 8 >= 64 * 10**6
+    tracemalloc.start()
     try:
-        with pytest.raises(RuntimeError, match="policy=lints, step=1"):
-            harness._run_single(config, 0)
+        harness._run_single(config, 0)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
-        harness.algorithms.select_arm = original
+        tracemalloc.stop()
+    assert peak < budget
