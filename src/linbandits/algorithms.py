@@ -6,6 +6,10 @@ Sampling selection perturbs the point estimate with one posterior draw at the
 inflated union confidence level ``delta / (4 T)``; quantile selection scores
 every arm by a closed-form posterior quantile at level ``gamma`` and needs no
 randomness. Ties break to the lowest index so replays are exact.
+
+Only sampling selection builds a ``GaussianPosterior``, whose construction
+factorises the covariance; quantile selection scores the arms straight from
+the posterior parameters with ``posterior.best_quantile_arm``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .linalg import (
     rls_init,
     rls_update,
 )
-from .posterior import GaussianPosterior
+from .posterior import GaussianPosterior, best_quantile_arm
 
 logger = logging.getLogger(__name__)
 
@@ -122,7 +126,11 @@ def init_policy(config: PolicyConfig, dim: int) -> PolicyState:
     )
 
 
-def _posterior(state: PolicyState, config: PolicyConfig, dim: int) -> GaussianPosterior:
+def _posterior_params(
+    state: PolicyState, config: PolicyConfig, dim: int
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """``(mean, scale, cov)`` of the posterior law the policy selects from;
+    ``cov`` is the design inverse or its diagonal."""
     conf = config.confidence
     if config.scale_mode is ScaleMode.UNIT:
         scale = 1.0
@@ -133,14 +141,14 @@ def _posterior(state: PolicyState, config: PolicyConfig, dim: int) -> GaussianPo
 
     if config.inference is Inference.EXACT:
         assert state.rls is not None
-        return GaussianPosterior(state.rls.estimate, scale, state.rls.design_inv)
+        return state.rls.estimate, scale, state.rls.design_inv
     assert state.diag is not None
     if config.approx_mode is EstimateMode.MEAN_AND_COV:
         mean = state.diag.estimate
     else:
         assert state.rls is not None
         mean = state.rls.estimate
-    return GaussianPosterior(mean, scale, state.diag.diag_inv)
+    return mean, scale, state.diag.diag_inv
 
 
 def select_arm(
@@ -149,15 +157,21 @@ def select_arm(
     arms,
     rng: np.random.Generator,
 ) -> int:
-    """Pick an arm index; ties break to the lowest index."""
+    """Pick an arm index; ties break to the lowest index.
+
+    Sampling selection draws from a ``GaussianPosterior``, one covariance
+    factorisation per call under exact inference. Quantile selection never
+    factorises: it rejects a covariance with a certainly negative variance
+    at an offered arm instead (see ``posterior.best_quantile_arm``).
+    """
     arm_matrix = np.asarray(arms, dtype=float)
     if arm_matrix.ndim != 2 or arm_matrix.shape[0] == 0:
         raise ValueError("arms must be a non-empty (K, d) collection")
-    post = _posterior(state, config, arm_matrix.shape[1])
+    mean, scale, cov = _posterior_params(state, config, arm_matrix.shape[1])
     if config.kind is Kind.LINTS:
-        theta = post.sample(rng)
+        theta = GaussianPosterior(mean, scale, cov).sample(rng)
         return int(np.argmax(arm_matrix @ theta))
-    return post.best_quantile_arm(arm_matrix, config.gamma)
+    return best_quantile_arm(mean, scale, cov, arm_matrix, config.gamma)
 
 
 def update(state: PolicyState, config: PolicyConfig, arm, reward: float) -> PolicyState:

@@ -51,15 +51,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = harness.load_config(args.config)
-    harness.check_output_dir(config.output_dir)
     if args.grid:
         grid = tuple(float(v) for v in args.grid.split(","))
     elif config.gamma_grid:
         grid = config.gamma_grid
     else:
-        print("no gamma grid: pass --grid or set [sweep] gamma_grid", file=sys.stderr)
-        return 2
-    rows = harness.sensitivity_sweep(config, grid)
+        raise ValueError("no gamma grid: pass --grid or set [sweep] gamma_grid")
+    sweep = harness.sweep_config(config, grid)
+    harness.check_output_dir(config.output_dir)
+    rows = harness.sensitivity_sweep(sweep, sweep.gamma_grid)
     paths = harness.emit_sweep_outputs(rows, config, config.output_dir)
     print("gamma      policy            mean final    stderr")
     for row in rows:
@@ -203,9 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A ``ValueError`` (bad config, grid or option)
+    prints one line to stderr and returns 2, as an argparse usage error
+    does; any other failure, such as a run that fails mid-way, propagates
+    with its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -486,18 +486,23 @@ class SweepRow:
     stderr_final: float
 
 
-def sensitivity_sweep(config: ExperimentConfig, gamma_grid) -> list[SweepRow]:
-    """Re-run the quantile-selection policies across a grid of levels with
-    shared streams, so the comparison across gamma is paired."""
-    grid = tuple(float(g) for g in gamma_grid)
+def sweep_config(config: ExperimentConfig, gamma_grid) -> ExperimentConfig:
+    """The config a sweep over ``gamma_grid`` runs: only the
+    quantile-selection policies, with the grid validated as a config
+    ``gamma_grid``, so a bad level fails before any run or output."""
     bucb_only = tuple(p for p in config.policies if p.startswith("linbucb"))
     if not bucb_only:
         raise ValueError("sweep requires at least one quantile-selection policy")
-    # the config validates the grid, so a bad level fails before any run
-    sweep_config = replace(config, policies=bucb_only, gamma_grid=grid)
+    return replace(config, policies=bucb_only, gamma_grid=tuple(float(g) for g in gamma_grid))
+
+
+def sensitivity_sweep(config: ExperimentConfig, gamma_grid) -> list[SweepRow]:
+    """Re-run the quantile-selection policies across a grid of levels with
+    shared streams, so the comparison across gamma is paired."""
+    sweep = sweep_config(config, gamma_grid)
     rows: list[SweepRow] = []
-    for g in grid:
-        result = run_experiment(sweep_config, gamma=g)
+    for g in sweep.gamma_grid:
+        result = run_experiment(sweep, gamma=g)
         for label, agg in result.aggregates().items():
             finals = agg.per_run_final
             stderr = (

@@ -32,13 +32,41 @@ _SIGNS = np.array([[-1.0], [1.0]])
 Sampler = Callable[[int, np.random.Generator], np.ndarray]
 
 
+def _checked(mean, scale, cov) -> tuple[np.ndarray, float, np.ndarray]:
+    """``(mean, scale, cov)`` as float arrays and a float, after the checks
+    every posterior law needs: a finite mean vector, a finite scale >= 0, and
+    a finite (d, d) matrix or a strictly positive (d,) diagonal."""
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    if mean.ndim != 1:
+        raise ValueError("mean must be a vector")
+    if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+        raise ValueError("posterior parameters must be finite")
+    if not (scale >= 0.0 and math.isfinite(scale)):
+        raise ValueError("scale must be a finite non-negative real")
+    d = mean.shape[0]
+    if cov.ndim == 1:
+        if cov.shape[0] != d:
+            raise ValueError("diagonal covariance has wrong dimension")
+        if np.any(cov <= 0.0):
+            raise ValueError("diagonal covariance must be strictly positive")
+    elif cov.ndim == 2:
+        if cov.shape != (d, d):
+            raise ValueError("covariance has wrong shape")
+    else:
+        raise ValueError("covariance must be a matrix or a diagonal vector")
+    return mean, float(scale), cov
+
+
 @dataclass(frozen=True)
 class GaussianPosterior:
     """Gaussian law ``N(mean, scale^2 * cov)`` with a cached square root.
 
     ``cov`` is the covariance shape: a (d, d) SPD matrix or a (d,) positive
-    diagonal. Construction fails on a non-SPD shape so that sampling never
-    does.
+    diagonal. Construction factorises a dense shape and fails on a non-SPD
+    one, so that sampling never does. Quantile selection needs no square
+    root: it goes through the module-level ``best_quantile_arm``, which
+    callers that never sample use directly, without constructing this class.
     """
 
     mean: np.ndarray
@@ -47,33 +75,17 @@ class GaussianPosterior:
     _sqrt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise ValueError("posterior parameters must be finite")
-        if not (self.scale >= 0.0 and math.isfinite(self.scale)):
-            raise ValueError("scale must be a finite non-negative real")
-        d = mean.shape[0]
+        mean, scale, cov = _checked(self.mean, self.scale, self.cov)
         if cov.ndim == 1:
-            if cov.shape[0] != d:
-                raise ValueError("diagonal covariance has wrong dimension")
-            if np.any(cov <= 0.0):
-                raise ValueError("diagonal covariance must be strictly positive")
             sqrt = np.sqrt(cov)
-        elif cov.ndim == 2:
-            if cov.shape != (d, d):
-                raise ValueError("covariance has wrong shape")
+        else:
             try:
                 sqrt = np.linalg.cholesky(cov)
             except np.linalg.LinAlgError as exc:
                 raise ValueError("covariance shape is not positive definite") from exc
-        else:
-            raise ValueError("covariance must be a matrix or a diagonal vector")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_sqrt", sqrt)
 
     @property
@@ -113,73 +125,97 @@ class GaussianPosterior:
         """Vectorized quantile scores for a (K, d) arm matrix."""
         z = _level_quantile(gamma)
         a = np.asarray(arms, dtype=float)
-        return _quantile_scores(a @ self.mean, self._quadratic_forms(a), z, self.scale)
+        return _quantile_scores(a @ self.mean, _quadratic_forms(self.cov, a), z, self.scale)
 
     def best_quantile_arm(self, arms: np.ndarray, gamma: float) -> int:
-        """Lowest index of the best quantile score of a (K, d) arm matrix.
+        """The module-level ``best_quantile_arm`` under this law."""
+        return best_quantile_arm(self.mean, self.scale, self.cov, arms, gamma)
 
-        For every finite input this is exactly
-        ``int(np.argmax(self.arm_value_quantiles(arms, gamma)))``. A diagonal
-        covariance scores every arm, as that method does. A dense covariance
-        C first computes the quadratic forms ``q_i = a_i^T C a_i`` with one
-        BLAS product, widens each by a rounding slack of
-        ``4 (d^2 + 2d + 4) eps max|C| ||a_i||_1^2`` (plus an absolute term
-        for underflow), and rescores with the einsum of
-        ``arm_value_quantiles`` only the arms whose best possible score
-        reaches the largest worst possible score; a lone survivor needs no
-        rescoring. The slack exceeds the sum of both products' errors: each
-        is within ``gamma_{d^2+2d+2} sum_jk |a_ij| |C_jk| |a_ik|`` of the
-        exact form, whatever its summation order (Higham, Accuracy and
-        Stability of Numerical Algorithms, sec. 3.1). The score is a chain of
-        correctly rounded operations monotone in q, so the interval of q maps
-        to an interval that holds the einsum score, and the argmax survives
-        with every row tied with it. If a bound is not finite, or the arm
-        matrix is not C-contiguous (einsum's summation order follows the
-        memory layout, and a row subset is a C-contiguous copy), every arm is
-        rescored.
-        """
-        z = _level_quantile(gamma)
-        a = np.asarray(arms, dtype=float)
-        # Centers over all rows: a BLAS product over a row subset can round
-        # differently from the same rows of the full product.
-        centers = a @ self.mean
-        rows = self._candidates(a, centers, z)
-        if rows is None:
-            scores = _quantile_scores(centers, self._quadratic_forms(a), z, self.scale)
-            return int(np.argmax(scores))
-        if rows.size == 1:
-            return int(rows[0])
-        scores = _quantile_scores(
-            centers[rows], self._quadratic_forms(a[rows]), z, self.scale
+
+def best_quantile_arm(mean, scale: float, cov, arms, gamma: float) -> int:
+    """Lowest index of the best gamma-quantile score of a (K, d) arm matrix
+    under ``N(mean, scale^2 * cov)``, without factorising ``cov``.
+
+    For every finite input this is exactly
+    ``int(np.argmax(GaussianPosterior(mean, scale, cov).arm_value_quantiles(arms, gamma)))``.
+    The parameters get the checks of ``GaussianPosterior`` except its
+    factorisation; a dense ``cov`` is instead checked at the offered arms
+    (below). A diagonal covariance scores every arm, as that method does. A
+    dense covariance C first computes the quadratic forms ``q_i = a_i^T C a_i``
+    with one BLAS product, widens each by a rounding slack of
+    ``4 (d^2 + 2d + 4) eps max|C| ||a_i||_1^2`` (plus an absolute term for
+    underflow), and rescores with the einsum of ``arm_value_quantiles`` only
+    the arms whose best possible score reaches the largest worst possible
+    score; a lone survivor needs no rescoring. The slack exceeds the sum of
+    both products' errors: each is within
+    ``gamma_{d^2+2d+2} sum_jk |a_ij| |C_jk| |a_ik|`` of the exact form,
+    whatever its summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.1). The score is a chain of correctly
+    rounded operations monotone in q, so the interval of q maps to an
+    interval that holds the einsum score, and the argmax survives with every
+    row tied with it. If a bound is not finite, or the arm matrix is not
+    C-contiguous (einsum's summation order follows the memory layout, and a
+    row subset is a C-contiguous copy), every arm is rescored.
+
+    Raises ValueError, naming the arm, when ``q_i + slack_i < 0``: then the
+    exact quadratic form of C at that arm is negative, C is not positive
+    semidefinite, and the score would otherwise clamp its variance to 0.
+    """
+    mean, scale, cov = _checked(mean, scale, cov)
+    z = _level_quantile(gamma)
+    a = np.asarray(arms, dtype=float)
+    # Centers over all rows: a BLAS product over a row subset can round
+    # differently from the same rows of the full product.
+    centers = a @ mean
+    rows = _candidates(cov, scale, a, centers, z)
+    if rows is None:
+        return int(np.argmax(_quantile_scores(centers, _quadratic_forms(cov, a), z, scale)))
+    if rows.size == 1:
+        return int(rows[0])
+    scores = _quantile_scores(centers[rows], _quadratic_forms(cov, a[rows]), z, scale)
+    return int(rows[np.argmax(scores)])
+
+
+def _quadratic_forms(cov: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``a_i^T C a_i`` for every row of ``a``; a row's bits do not depend on
+    the other rows."""
+    if cov.ndim == 1:
+        return np.sum(a * a * cov, axis=1)
+    return np.einsum("ij,jk,ik->i", a, cov, a)
+
+
+def _candidates(
+    cov: np.ndarray, scale: float, a: np.ndarray, centers: np.ndarray, z: float
+) -> np.ndarray | None:
+    """Rows of ``a`` whose score the rounding bound of ``best_quantile_arm``
+    cannot rule out, or None to rescore every row. Raises ValueError when a
+    dense ``cov`` has a certainly negative quadratic form at a row."""
+    if cov.ndim == 1:
+        return None
+    d = cov.shape[0]
+    terms = d * d + 2 * d + 4
+    cmax = float(np.abs(cov).max())
+    l1 = np.abs(a).sum(axis=1)
+    # terms * (4 eps cmax l1^2 + tiny (1 + cmax + l1)); the tiny part
+    # covers underflow, which adds absolute, not relative, error.
+    slack = l1 * (4.0 * terms * _EPS * cmax * l1 + terms * _TINY)
+    slack += terms * _TINY * (1.0 + cmax)
+    q = np.einsum("ij,ij->i", a @ cov, a)
+    negative = q + slack < 0.0
+    if negative.any():
+        i = int(negative.argmax())
+        raise ValueError(
+            f"covariance is not positive semidefinite: arm {i} has quadratic "
+            f"form {q[i]:.6g}, below -{slack[i]:.3g}, the most rounding explains"
         )
-        return int(rows[np.argmax(scores)])
-
-    def _quadratic_forms(self, a: np.ndarray) -> np.ndarray:
-        """``a_i^T C a_i`` for every row of ``a``; a row's bits do not
-        depend on the other rows."""
-        if self.is_diagonal:
-            return np.sum(a * a * self.cov, axis=1)
-        return np.einsum("ij,jk,ik->i", a, self.cov, a)
-
-    def _candidates(self, a: np.ndarray, centers: np.ndarray, z: float) -> np.ndarray | None:
-        """Rows of ``a`` whose score the rounding bound of
-        ``best_quantile_arm`` cannot rule out, or None to rescore every row."""
-        if self.is_diagonal or not a.flags.c_contiguous:
-            return None
-        terms = self.dim * self.dim + 2 * self.dim + 4
-        cmax = float(np.abs(self.cov).max())
-        l1 = np.abs(a).sum(axis=1)
-        # terms * (4 eps cmax l1^2 + tiny (1 + cmax + l1)); the tiny part
-        # covers underflow, which adds absolute, not relative, error.
-        slack = l1 * (4.0 * terms * _EPS * cmax * l1 + terms * _TINY)
-        slack += terms * _TINY * (1.0 + cmax)
-        q = np.einsum("ij,ij->i", a @ self.cov, a)
-        # row 0 scores q - slack, row 1 scores q + slack
-        bounds = _quantile_scores(centers, q + _SIGNS * slack, z, self.scale)
-        if not math.isfinite(bounds.sum()):  # any inf or nan entry, or overflow
-            return None
-        lower, upper = bounds if z >= 0.0 else bounds[::-1]
-        return (upper >= lower.max()).nonzero()[0]
+    if not a.flags.c_contiguous:
+        return None
+    # row 0 scores q - slack, row 1 scores q + slack
+    bounds = _quantile_scores(centers, q + _SIGNS * slack, z, scale)
+    if not math.isfinite(bounds.sum()):  # any inf or nan entry, or overflow
+        return None
+    lower, upper = bounds if z >= 0.0 else bounds[::-1]
+    return (upper >= lower.max()).nonzero()[0]
 
 
 def _level_quantile(gamma: float) -> float:
@@ -194,7 +230,8 @@ def _quantile_scores(centers, q, z: float, scale: float) -> np.ndarray:
 
     Every operation is correctly rounded and monotone in ``q`` (increasing
     for ``z >= 0``, decreasing otherwise), which ``best_quantile_arm``
-    relies on.
+    relies on. A negative ``q`` scores as 0; ``best_quantile_arm`` first
+    rejects any that rounding cannot explain.
     """
     return centers + z * (scale * np.sqrt(np.maximum(q, 0.0)))
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -253,6 +255,21 @@ def test_unit_scale_mode_uses_plain_posterior():
 
     post = GaussianPosterior(state.rls.estimate, 1.0, state.rls.design_inv)
     assert idx == int(np.argmax(arms @ post.sample(rng2)))
+
+
+def test_linbucb_rejects_negative_variance_at_an_offered_arm():
+    # an indefinite design inverse, which the exact LinTS path would reject
+    # at its Cholesky factorisation; quantile selection never factorises, so
+    # it must reject the arm whose quadratic form is certainly negative
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for config in (_linbucb(), _linbucb(scale_mode=ScaleMode.UNIT)):
+        state = init_policy(config, 2)
+        state = PolicyState(step=0, rls=replace(state.rls, design_inv=indefinite))
+        arms = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="arm 1 has quadratic form -2"):
+            select_arm(state, config, arms, np.random.default_rng(0))
+        # positive at every offered arm: the law is usable there
+        assert select_arm(state, config, arms[[0, 2]], np.random.default_rng(0)) == 0
 
 
 def test_linbucb_requires_gamma():

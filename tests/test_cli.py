@@ -45,6 +45,8 @@ def test_sweep_command(tmp_path, capsys):
 def test_sweep_requires_grid(tmp_path, capsys):
     path = _write_config(tmp_path, policies=("linbucb",))
     assert main(["sweep-gamma", path]) == 2
+    assert "no gamma grid" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_adversarial_command(tmp_path, capsys):
@@ -107,3 +109,50 @@ def test_bounds_command(capsys):
     assert "kappa1=0.158655" in out
     assert "sampling-selection bound" in out
     assert "quantile-selection bound (type2, approximate" in out
+
+
+def _bad_argv(tmp_path, command):
+    if command == "run":
+        path = _write_config(tmp_path)
+        with open(path, "a") as fh:
+            fh.write("\n[bogus]\nkey = 1\n")
+        return ["run", path], "unknown config section [bogus]"
+    if command == "sweep-gamma":
+        path = _write_config(tmp_path, policies=("linbucb",))
+        return ["sweep-gamma", path, "--grid", "0.5,1.5"], "gamma_grid level must lie in (0, 1)"
+    if command == "adversarial":
+        argv = ["adversarial", "--policy", "lints", "--alpha", "-1", "--epsilon", "0.1",
+                "--horizon", "10", "--output-dir", str(tmp_path / "out")]
+        return argv, "alpha must be positive"
+    return ["verify", "--suite", "quantile-shift", "--seed", "-1"], "non-negative"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-gamma", "adversarial", "verify"])
+def test_value_error_prints_one_line(tmp_path, capsys, command):
+    argv, detail = _bad_argv(tmp_path, command)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"linbandits {command}: error: ")
+    assert detail in captured.err
+    assert captured.err.count("\n") == 1
+    # rejected before any output directory is made
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_sweep_bad_grid_entry_is_one_line(tmp_path, capsys):
+    path = _write_config(tmp_path, policies=("linbucb",))
+    assert main(["sweep-gamma", path, "--grid", "0.5,x"]) == 2
+    assert capsys.readouterr().err.startswith("linbandits sweep-gamma: error: could not convert")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_failed_run_keeps_its_traceback(tmp_path, monkeypatch):
+    from linbandits import algorithms
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken selection")
+
+    monkeypatch.setattr(algorithms, "select_arm", broken)
+    with pytest.raises(RuntimeError, match="policy=lints, step=1: broken selection"):
+        main(["run", _write_config(tmp_path)])

@@ -1,11 +1,13 @@
 """Exactness of quantile arm selection.
 
-``GaussianPosterior.best_quantile_arm`` filters arms with a BLAS product and
-a rounding-error bound, then rescores the survivors with the einsum of
+``posterior.best_quantile_arm`` (and ``GaussianPosterior.best_quantile_arm``,
+which delegates to it) filters arms with a BLAS product and a rounding-error
+bound, then rescores the survivors with the einsum of
 ``arm_value_quantiles``. These tests pin that it returns exactly the argmax
-of those scores, and the two bit-level facts the filter relies on. The
-chosen arm must not depend on the BLAS summation order, so CI also runs this
-file with single-threaded BLAS.
+of those scores, the two bit-level facts the filter relies on, and that
+quantile selection never factorises the covariance. The chosen arm must not
+depend on the BLAS summation order, so CI also runs this file with
+single-threaded BLAS.
 """
 
 import hashlib
@@ -16,10 +18,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linbandits.algorithms import init_policy, select_arm, update
 from linbandits.environments import sample_arm_set
 from linbandits.harness import ExperimentConfig, run_experiment, write_traces_csv
 from linbandits.normal import norm_ppf
-from linbandits.posterior import GaussianPosterior
+from linbandits.posterior import GaussianPosterior, _candidates, best_quantile_arm
 
 
 def _argmax_of_scores(post, arms, gamma) -> int:
@@ -99,9 +102,11 @@ def test_best_quantile_arm_is_argmax_of_scores(
         rng.standard_normal(d) * mean_size, scale, _dense_spd(rng, d, magnitude)
     )
     arms = _arm_rows(rng, k, d, mode)
-    assert post.best_quantile_arm(arms, gamma) == _argmax_of_scores(post, arms, gamma)
     diagonal = GaussianPosterior(post.mean, scale, np.diag(post.cov).copy())
-    assert diagonal.best_quantile_arm(arms, gamma) == _argmax_of_scores(diagonal, arms, gamma)
+    for law in (post, diagonal):
+        want = _argmax_of_scores(law, arms, gamma)
+        assert law.best_quantile_arm(arms, gamma) == want
+        assert best_quantile_arm(law.mean, scale, law.cov, arms, gamma) == want
 
 
 def test_step_one_all_ties_keep_every_arm():
@@ -112,14 +117,14 @@ def test_step_one_all_ties_keep_every_arm():
     for _ in range(4):
         arms = sample_arm_set(200, 50, rng, "ball")
         assert post.best_quantile_arm(arms, 0.6) == _argmax_of_scores(post, arms, 0.6)
-        assert post._candidates(arms, arms @ post.mean, norm_ppf(0.6)).size == 50
+        assert _candidates(post.cov, post.scale, arms, arms @ post.mean, norm_ppf(0.6)).size == 50
 
 
 def test_filter_rules_out_clearly_worse_arms():
     rng = np.random.default_rng(5)
     post = GaussianPosterior(rng.standard_normal(30), 0.8, _dense_spd(rng, 30, 1.0))
     arms = _arm_rows(rng, 40, 30, "random")
-    rows = post._candidates(arms, arms @ post.mean, norm_ppf(0.6))
+    rows = _candidates(post.cov, post.scale, arms, arms @ post.mean, norm_ppf(0.6))
     assert rows.tolist() == [_argmax_of_scores(post, arms, 0.6)]
 
 
@@ -147,6 +152,38 @@ def test_layouts_and_non_finite_arms_score_every_row():
         broken[4, 2] = bad
         with np.errstate(invalid="ignore"):
             assert post.best_quantile_arm(broken, 0.7) == _argmax_of_scores(post, broken, 0.7)
+
+
+def test_only_exact_sampling_factorises(monkeypatch):
+    # quantile selection scores straight from V^-1; only an exact LinTS
+    # draw needs its Cholesky factor
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    d, k, horizon = 30, 10, 50
+    config = ExperimentConfig(
+        family="P3", dim=d, n_arms=k, horizon=horizon, n_runs=1, base_seed=1, instance_seed=3,
+        policies=("linbucb", "linbucb_approx", "lints"),
+    )
+    theta = config.instance().theta_star
+    expected = {"linbucb": 0, "linbucb_approx": 0, "lints": 1}
+    for pcfg in config.policy_configs():
+        rng = np.random.default_rng(17)
+        state = init_policy(pcfg, d)
+        per_call = []
+        for _ in range(horizon):
+            arms = sample_arm_set(d, k, rng, "ball")
+            before = len(calls)
+            idx = select_arm(state, pcfg, arms, rng)
+            per_call.append(len(calls) - before)
+            state = update(state, pcfg, arms[idx], float(arms[idx] @ theta + rng.normal()))
+        assert per_call == [expected[pcfg.name]] * horizon, pcfg.name
+    assert set(calls) == {(d, d)}
 
 
 # SHA-256 of traces.csv for P3, d=200, K=50, T=60, linbucb and
