@@ -433,8 +433,7 @@ def run_adversarial_episode(
                 if certify:
                     divs[t] = bucb_divergence(pair, alpha)[0]
             else:
-                q1 = pi.arm_value_quantile(arms[0], gamma)
-                q2 = pi.arm_value_quantile(arms[1], gamma)
+                q1, q2 = pi.arm_value_quantiles(arms, gamma)
             idx = 0 if q1 >= q2 else 1
 
         chosen[t] = idx

@@ -52,7 +52,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = harness.load_config(args.config)
     if args.grid:
-        grid = tuple(float(v) for v in args.grid.split(","))
+        _, parse_grid = harness.CONFIG_KEYS["sweep", "gamma_grid"]
+        grid = parse_grid(args.grid)
     elif config.gamma_grid:
         grid = config.gamma_grid
     else:
@@ -101,15 +102,7 @@ def _cmd_adversarial(args: argparse.Namespace) -> int:
     if args.output_dir:
         harness.check_output_dir(args.output_dir)
         trace_path = os.path.join(args.output_dir, "adversarial_traces.csv")
-        lines = ["step,instant_regret,cum_regret,policy,seed"]
-        for run_idx, ep in enumerate(episodes):
-            for t in range(len(ep.trace)):
-                lines.append(
-                    f"{t + 1},{float(ep.trace.instantaneous[t])!r},"
-                    f"{float(ep.trace.cumulative[t])!r},{label},{run_idx}"
-                )
-        with open(trace_path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        harness.write_traces_csv({label: [ep.trace for ep in episodes]}, trace_path)
         budget_path = os.path.join(args.output_dir, "adversarial_budget.csv")
         lines = ["step,alpha,divergence,bound,seed"]
         for run_idx, ep in enumerate(episodes):
@@ -203,15 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. A ``ValueError`` (bad config, grid or option)
-    prints one line to stderr and returns 2, as an argparse usage error
-    does; any other failure, such as a run that fails mid-way, propagates
-    with its traceback."""
+    """Run one subcommand. A ``ValueError`` (bad config, grid or option) or
+    an ``OSError`` (a config file that cannot be read, an output directory
+    that cannot be written) prints one line to stderr and returns 2, as an
+    argparse usage error does; any other failure, such as a run that fails
+    mid-way, propagates with its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,8 @@ import configparser
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,50 +28,11 @@ from .svgplot import LinePlot
 
 POLICY_NAMES = ("lints", "lints_approx", "linbucb", "linbucb_approx")
 
-_SCHEMA = {
-    "experiment": {
-        "name",
-        "family",
-        "dim",
-        "n_arms",
-        "horizon",
-        "n_runs",
-        "base_seed",
-        "instance_seed",
-        "theta",
-        "noise_sd",
-        "arm_scaling",
-        "output_dir",
-        "workers",
-    },
-    "model": {"lambda", "nu", "s_bound", "delta"},
-    "policies": {"policies", "gamma", "approx_mode", "posterior_scale"},
-    "sweep": {"gamma_grid"},
-}
-
-_DEFAULTS = {
-    "name": "experiment",
-    "instance_seed": None,
-    "theta": None,
-    "noise_sd": 0.5,
-    "arm_scaling": "ball",
-    "output_dir": "out",
-    "workers": 1,
-    "lambda": 1.0,
-    "nu": 0.5,
-    "s_bound": "auto",
-    "delta": 0.05,
-    "gamma": 0.6,
-    "approx_mode": "cov_only",
-    "posterior_scale": "auto",
-    "gamma_grid": None,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; round-trips losslessly through the
-    sectioned key=value config format."""
+    sectioned key=value config format. The field defaults are the config's
+    defaults, and a field without one is a required config key."""
 
     family: str
     dim: int
@@ -224,74 +186,78 @@ def _parser() -> configparser.ConfigParser:
     return configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("dim", "n_arms", "horizon", "n_runs", "base_seed", "instance_seed", "workers"):
-        return int(raw)
-    if key in ("noise_sd", "lambda", "nu", "delta", "gamma"):
-        return float(raw)
-    if key == "s_bound":
-        return raw if raw == "auto" else float(raw)
-    if key == "theta":
-        return tuple(float(v) for v in raw.split(","))
-    if key == "gamma_grid":
-        return tuple(float(v) for v in raw.split(","))
-    if key == "policies":
-        return tuple(p.strip() for p in raw.split(",") if p.strip())
-    return raw
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in raw.split(",") if p.strip())
+
+
+def _s_bound(raw: str) -> float | str:
+    return raw if raw == "auto" else float(raw)
+
+
+# Every config key, as (section, key) -> (ExperimentConfig field, parser), in
+# the order save_config writes them. Defaults and required keys come from
+# the dataclass fields.
+CONFIG_KEYS = {
+    ("experiment", "name"): ("name", str),
+    ("experiment", "family"): ("family", str),
+    ("experiment", "dim"): ("dim", int),
+    ("experiment", "n_arms"): ("n_arms", int),
+    ("experiment", "horizon"): ("horizon", int),
+    ("experiment", "n_runs"): ("n_runs", int),
+    ("experiment", "base_seed"): ("base_seed", int),
+    ("experiment", "noise_sd"): ("noise_sd", float),
+    ("experiment", "arm_scaling"): ("arm_scaling", str),
+    ("experiment", "output_dir"): ("output_dir", str),
+    ("experiment", "workers"): ("workers", int),
+    ("experiment", "instance_seed"): ("instance_seed", int),
+    ("experiment", "theta"): ("theta", _floats),
+    ("model", "lambda"): ("lam", float),
+    ("model", "nu"): ("nu", float),
+    ("model", "s_bound"): ("s_bound", _s_bound),
+    ("model", "delta"): ("delta", float),
+    ("policies", "policies"): ("policies", _names),
+    ("policies", "gamma"): ("gamma", float),
+    ("policies", "approx_mode"): ("approx_mode", str),
+    ("policies", "posterior_scale"): ("posterior_scale", str),
+    ("sweep", "gamma_grid"): ("gamma_grid", _floats),
+}
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a sectioned key=value config file; unknown sections
-    or keys are rejected outright."""
+    or keys are rejected outright, and so is text that is not such a file."""
     parser = _parser()
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise FileNotFoundError(path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            # configparser's messages span lines; an error here is one line
+            raise ValueError(" ".join(str(exc).split())) from exc
+    sections = {section for section, _ in CONFIG_KEYS}
     values: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if (section, key) not in CONFIG_KEYS:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
-            values[key] = _parse_value(key, parser[section][key])
-    missing = {"family", "dim", "n_arms", "horizon", "n_runs", "base_seed", "policies"} - set(
-        values
-    )
+            name, parse = CONFIG_KEYS[section, key]
+            values[name] = parse(parser[section][key])
+    unset = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(values)
+    missing = sorted(key for (_, key), (name, _) in CONFIG_KEYS.items() if name in unset)
     if missing:
-        raise ValueError(f"missing required config keys: {sorted(missing)}")
-    merged = {**{k: v for k, v in _DEFAULTS.items()}, **values}
-    return ExperimentConfig(
-        family=merged["family"],
-        dim=merged["dim"],
-        n_arms=merged["n_arms"],
-        horizon=merged["horizon"],
-        n_runs=merged["n_runs"],
-        base_seed=merged["base_seed"],
-        policies=tuple(merged["policies"]),
-        name=merged["name"],
-        instance_seed=merged["instance_seed"],
-        theta=merged["theta"],
-        noise_sd=merged["noise_sd"],
-        arm_scaling=merged["arm_scaling"],
-        output_dir=merged["output_dir"],
-        workers=merged["workers"],
-        lam=merged["lambda"],
-        nu=merged["nu"],
-        s_bound=merged["s_bound"],
-        delta=merged["delta"],
-        gamma=merged["gamma"],
-        approx_mode=merged["approx_mode"],
-        posterior_scale=merged["posterior_scale"],
-        gamma_grid=merged["gamma_grid"],
-    )
+        raise ValueError(f"missing required config keys: {missing}")
+    return ExperimentConfig(**values)
 
 
-def _format_value(key: str, value) -> str:
-    if key in ("theta", "gamma_grid"):
+def _format_value(parse, value) -> str:
+    if parse is _floats:
         return ",".join(repr(float(v)) for v in value)
-    if key == "policies":
+    if parse is _names:
         return ", ".join(value)
     if isinstance(value, float):
         return repr(value)
@@ -299,43 +265,15 @@ def _format_value(key: str, value) -> str:
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
-    """Serialize back to the sectioned format; load(save(c)) == c."""
+    """Serialize back to the sectioned format; load(save(c)) == c. A key
+    whose value is None is left out, and so is a section left empty."""
     parser = _parser()
-    sections = {
-        "experiment": {
-            "name": config.name,
-            "family": config.family,
-            "dim": config.dim,
-            "n_arms": config.n_arms,
-            "horizon": config.horizon,
-            "n_runs": config.n_runs,
-            "base_seed": config.base_seed,
-            "noise_sd": config.noise_sd,
-            "arm_scaling": config.arm_scaling,
-            "output_dir": config.output_dir,
-            "workers": config.workers,
-        },
-        "model": {
-            "lambda": config.lam,
-            "nu": config.nu,
-            "s_bound": config.s_bound,
-            "delta": config.delta,
-        },
-        "policies": {
-            "policies": config.policies,
-            "gamma": config.gamma,
-            "approx_mode": config.approx_mode,
-            "posterior_scale": config.posterior_scale,
-        },
-    }
-    if config.instance_seed is not None:
-        sections["experiment"]["instance_seed"] = config.instance_seed
-    if config.theta is not None:
-        sections["experiment"]["theta"] = config.theta
-    if config.gamma_grid is not None:
-        sections["sweep"] = {"gamma_grid": config.gamma_grid}
-    for name, keys in sections.items():
-        parser[name] = {k: _format_value(k, v) for k, v in keys.items()}
+    for (section, key), (name, parse) in CONFIG_KEYS.items():
+        value = getattr(config, name)
+        if value is not None:
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser[section][key] = _format_value(parse, value)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         parser.write(fh)
 
@@ -529,10 +467,12 @@ def check_output_dir(path: str) -> None:
         raise PermissionError(f"output directory {path!r} is not writable")
 
 
-def write_traces_csv(result: ExperimentResult, path: str) -> None:
+def write_traces_csv(traces: Mapping[str, list[RegretTrace]], path: str) -> None:
+    """One row per step of every run, labels in mapping order and runs in
+    list order; the run's index in its list is its ``seed`` column."""
     lines = ["step,instant_regret,cum_regret,policy,seed"]
-    for label in result.labels:
-        for run_idx, trace in enumerate(result.traces[label]):
+    for label, runs in traces.items():
+        for run_idx, trace in enumerate(runs):
             for t in range(len(trace)):
                 lines.append(
                     f"{t + 1},{_fmt_float(trace.instantaneous[t])},"
@@ -576,7 +516,7 @@ def emit_outputs(result: ExperimentResult, output_dir: str) -> dict[str, str]:
         "manifest": os.path.join(output_dir, "manifest.cfg"),
     }
     aggregates = result.aggregates()
-    write_traces_csv(result, paths["traces"])
+    write_traces_csv(result.traces, paths["traces"])
     write_aggregate_csv(aggregates, paths["aggregate"])
 
     plot = LinePlot(

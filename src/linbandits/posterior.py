@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import weighted_norm
 from .normal import norm_ppf
 
 # Default certification budget.
@@ -106,23 +105,9 @@ class GaussianPosterior:
             draws = self.mean + self.scale * (z @ self._sqrt.T)
         return draws[0] if size is None else draws
 
-    def arm_norm(self, arm) -> float:
-        """``sqrt(arm^T C arm)`` under the covariance shape."""
-        return weighted_norm(self.cov, arm)
-
-    def arm_value_quantile(self, arm, gamma: float) -> float:
-        """Closed-form gamma-quantile of the scalar law of ``arm . theta``."""
-        if not (0.0 < gamma < 1.0):
-            raise ValueError("gamma must lie in (0, 1)")
-        a = np.asarray(arm, dtype=float)
-        center = float(a @ self.mean)
-        spread = self.scale * self.arm_norm(a)
-        if spread == 0.0:
-            return center
-        return center + norm_ppf(gamma) * spread
-
     def arm_value_quantiles(self, arms: np.ndarray, gamma: float) -> np.ndarray:
-        """Vectorized quantile scores for a (K, d) arm matrix."""
+        """Closed-form gamma-quantiles of the scalar laws ``a_i . theta``
+        for a (K, d) arm matrix; one arm scores as ``arms=arm[None]``."""
         z = _level_quantile(gamma)
         a = np.asarray(arms, dtype=float)
         return _quantile_scores(a @ self.mean, _quadratic_forms(self.cov, a), z, self.scale)

@@ -166,7 +166,7 @@ def test_bucb_quantiles_order_and_unit_reweight():
 
     near_unit = wrap_bucb(pi, 1.0 + 1e-9, gamma)
     q1u, q2u = bucb_adversary_quantiles(near_unit, gamma)
-    exact_q2 = pi.arm_value_quantile(np.array([0.0, 1.0]), gamma)
+    exact_q2 = pi.arm_value_quantiles(np.array([[0.0, 1.0]]), gamma)[0]
     assert q2u == pytest.approx(exact_q2, abs=1e-6)
     with pytest.raises(ValueError):
         bucb_adversary_quantiles(pair, 0.8)
@@ -235,26 +235,49 @@ def test_short_episodes():
 # certified episodes (alpha=2, epsilon=0.1, T=300), recorded before the
 # per-pair node cache, the memoised quantile and the float density path went
 # in. Those are pure refactors: a digest that moves means an output bit moved.
+# (policy, rng seed, r) -> digests of (chosen, divergences, cumulative) for a
+# T=300 episode at gamma=0.9; r=None is the certified adversary and r=1.0 the
+# exact-inference control.
 _EPISODE_DIGESTS = {
-    ("lints", 0): (
+    ("lints", 0, None): (
         "ede92e92a4c92ad7bf832fbfb2b3fcd198e5059e1a3d08cf8c61bd2f60541527",
         "59192108a1af5cc9f78fbaca5dbe10980ea953dd08d8fb498eaed031d08fc1d7",
         "26f5975120e218ddb22a1c966d3941bf3465459d354e60b6b76286d5bcab457c",
     ),
-    ("lints", 1): (
+    ("lints", 1, None): (
         "b435ac01acbcd917aaf2139c2d738e4b55a74c6798f9d265bb93d2a4633885b0",
         "1e42184e9c4c7a715d305162f16414249547ef283b68e4cb65208e545b2fb992",
         "28de07394e27e5207c4f67764d9be8b28335e4dc1433a9e358ecdca7eceb6b62",
     ),
-    ("linbucb", 0): (
+    ("linbucb", 0, None): (
         "1ba3f0cd46e5a90512e901ce94c0e58ddd0c5e8b2d5e1269abca28c7d975c2ef",
         "a8744396f488306e6cd869b5e7ec67a1b0021ca74097e63d644ab004c595d1a9",
         "ceef0682e62f7490533704c4e4edfef865f49d07ab2343605eb79a9b737f767b",
     ),
-    ("linbucb", 1): (
+    ("linbucb", 1, None): (
         "1ba3f0cd46e5a90512e901ce94c0e58ddd0c5e8b2d5e1269abca28c7d975c2ef",
         "7518a817c048af66140b27203a41634ed4e30f5dab80912ea5aa81f689571dbb",
         "ceef0682e62f7490533704c4e4edfef865f49d07ab2343605eb79a9b737f767b",
+    ),
+    ("lints", 0, 1.0): (
+        "5dfeb00d83c16b296f59e7b423c07b819119ebe44b1a588643f89804c80d5335",
+        "a0ee989ed2a0a2e3626520afa4032e06144865c8c8f6357293c9f4cd2069eaf2",
+        "851a68a8a123e503f2e0d429e154a2f67f2089b0abc0bd11d821c158ac4f5acf",
+    ),
+    ("lints", 1, 1.0): (
+        "8a242e9348aa0b1b050637ffd436ae0b95fab8061ac94eb2f2dc6e3ac2a25ab3",
+        "a0ee989ed2a0a2e3626520afa4032e06144865c8c8f6357293c9f4cd2069eaf2",
+        "d942e315f4fc7deb063e1edda96106a03f718c44d3f8a7bbf0515a25a8e53b16",
+    ),
+    ("linbucb", 0, 1.0): (
+        "d04cde1702dac84e0e290219a6b9db1677ddc180035295c341a52f0656c5a613",
+        "a0ee989ed2a0a2e3626520afa4032e06144865c8c8f6357293c9f4cd2069eaf2",
+        "3947fce28128825f89e10cf4a4de663eb5fc9922e936411ca054accbe0cc0fdc",
+    ),
+    ("linbucb", 1, 1.0): (
+        "9bb6a4f8ef167d16d1549ea3ad1a00ca3d70f5a31f69e0cc86c59ac2847471b8",
+        "a0ee989ed2a0a2e3626520afa4032e06144865c8c8f6357293c9f4cd2069eaf2",
+        "d9512424f0f24e547f13703aaa22fc36cd97e094ef4ea4aee6611fb18876e3a6",
     ),
 }
 
@@ -263,17 +286,30 @@ def _sha256(arr, dtype) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("policy,seed", sorted(_EPISODE_DIGESTS))
-def test_certified_episode_outputs_are_bit_stable(policy, seed):
+def _check_episode_digests(policy, seed, r):
     ep = run_adversarial_episode(
-        policy, (1.0, 0.0), 2.0, 0.1, 300, np.random.default_rng(seed), gamma=0.9
+        policy, (1.0, 0.0), 2.0, 0.1, 300, np.random.default_rng(seed), gamma=0.9, r=r
     )
     digests = (
         _sha256(ep.chosen, np.int64),
         _sha256(ep.divergences, np.float64),
         _sha256(ep.trace.cumulative, np.float64),
     )
-    assert digests == _EPISODE_DIGESTS[(policy, seed)]
+    assert digests == _EPISODE_DIGESTS[(policy, seed, r)]
+
+
+def _episode_cases(r):
+    return sorted((policy, seed) for policy, seed, rr in _EPISODE_DIGESTS if rr == r)
+
+
+@pytest.mark.parametrize("policy,seed", _episode_cases(None))
+def test_certified_episode_outputs_are_bit_stable(policy, seed):
+    _check_episode_digests(policy, seed, None)
+
+
+@pytest.mark.parametrize("policy,seed", _episode_cases(1.0))
+def test_control_episode_outputs_are_bit_stable(policy, seed):
+    _check_episode_digests(policy, seed, 1.0)
 
 
 def _bits(values) -> bytes:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -156,3 +157,52 @@ def test_failed_run_keeps_its_traceback(tmp_path, monkeypatch):
     monkeypatch.setattr(algorithms, "select_arm", broken)
     with pytest.raises(RuntimeError, match="policy=lints, step=1: broken selection"):
         main(["run", _write_config(tmp_path)])
+
+
+def _unusable_config(tmp_path, case):
+    path = tmp_path / "config.cfg"
+    if case == "missing":
+        return str(path), "No such file or directory"
+    if case == "no-section-header":
+        path.write_text("dim = 3\n[experiment]\nfamily = P1\n")
+        return str(path), "File contains no section headers."
+    if case == "repeated-key":
+        path.write_text("[experiment]\ndim = 3\ndim = 4\n")
+        return str(path), "option 'dim' in section 'experiment' already exists"
+    return _write_config(tmp_path), "is not writable"
+
+
+@pytest.mark.parametrize(
+    "case", ["missing", "no-section-header", "repeated-key", "unwritable-output"]
+)
+def test_unusable_config_or_output_is_one_line(tmp_path, capsys, monkeypatch, case):
+    path, detail = _unusable_config(tmp_path, case)
+    if case == "unwritable-output":
+        # the real check passes for a privileged user whatever the mode bits
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("linbandits run: error: ")
+    assert detail in captured.err
+    assert captured.err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out" / "traces.csv")
+
+
+@pytest.mark.parametrize(
+    "policy,traces_digest",
+    [
+        ("lints", "b6f3425f34d8a65dfbcc8602204814d93c8e747091e210429628b1d59d84d3cd"),
+        ("linbucb", "c89756198ede45a31adf23b487a5fb138b969e1f83c536695f91a232d6ba90ff"),
+    ],
+)
+def test_adversarial_control_csvs_are_pinned(tmp_path, capsys, policy, traces_digest):
+    out_dir = tmp_path / "adv"
+    argv = ["adversarial", "--policy", policy, "--alpha", "2.0", "--epsilon", "0.1",
+            "--horizon", "200", "--runs", "2", "--control", "--output-dir", str(out_dir)]
+    assert main(argv) == 0
+    for name, digest in (
+        ("adversarial_traces.csv", traces_digest),
+        ("adversarial_budget.csv", "c66574926ada0bf8b5ca1f36c0f990c5f66bcc76dbe037eb45abddb3a5d52bd6"),
+    ):
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linbandits.harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     emit_outputs,
     emit_sweep_outputs,
@@ -92,6 +94,72 @@ def test_readme_config_block_loads_verbatim(tmp_path):
     assert config.s_bound == "auto"
     assert config.policies == ("lints", "lints_approx", "linbucb", "linbucb_approx")
     assert config.gamma_grid == (0.5, 0.55, 0.6, 0.65, 0.7)
+
+
+def test_config_table_names_every_field_once():
+    names = [name for name, _ in CONFIG_KEYS.values()]
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+def test_readme_config_block_names_every_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    section, written = None, set()
+    for line in block.splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        if header:
+            section = header.group(1)
+            continue
+        # the one optional key without a usable default is shown commented out
+        key = re.match(r"[;\s]*(\w+)\s*=", line)
+        if key:
+            written.add((section, key.group(1)))
+    assert written == set(CONFIG_KEYS)
+    assert "; theta = " in block
+
+
+_BARE = dict(family="P1", dim=3, n_arms=4, horizon=20, n_runs=2, base_seed=1, policies=("lints",))
+_EVERY_KEY = dict(
+    family="custom",
+    dim=3,
+    n_arms=4,
+    horizon=20,
+    n_runs=2,
+    base_seed=9,
+    policies=("linbucb", "lints_approx"),
+    name="50%-full",
+    instance_seed=4,
+    theta=(0.5, -0.25, 1.0),
+    noise_sd=0.3,
+    arm_scaling="sphere",
+    output_dir="out/x",
+    workers=2,
+    lam=2.0,
+    nu=0.25,
+    s_bound=1.5,
+    delta=0.1,
+    gamma=0.7,
+    approx_mode="mean_and_cov",
+    posterior_scale="unit",
+    gamma_grid=(0.5, 0.8),
+)
+
+
+@pytest.mark.parametrize(
+    "fields,digest",
+    [
+        (_BARE, "1c50e9c7cf3f37e2a3405515d750b03abfba7a3cbe8602b2535a1b5739ac048b"),
+        (_EVERY_KEY, "b677bb4fa1df2f6c56ea8e4cdad854ae7e41f9609cb010837f9d272f281da143"),
+    ],
+    ids=["bare", "every-key"],
+)
+def test_saved_config_bytes_are_pinned(fields, digest, tmp_path):
+    config = ExperimentConfig(**fields)
+    path = tmp_path / "config.cfg"
+    save_config(config, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert load_config(path) == config
 
 
 def test_percent_in_name_round_trips(tmp_path):
@@ -360,7 +428,7 @@ def test_outputs_do_not_depend_on_block_length(block, monkeypatch, tmp_path):
     # the last block is short, and 10 000 is clipped to the horizon
     monkeypatch.setattr(harness, "ARM_BLOCK_BYTES", block * step_bytes + step_bytes - 1)
     result = run_experiment(config)
-    write_traces_csv(result, tmp_path / "traces.csv")
+    write_traces_csv(result.traces, tmp_path / "traces.csv")
     write_aggregate_csv(result.aggregates(), tmp_path / "aggregate.csv")
     for name, digest in (
         ("traces.csv", _BLOCK_GOLDEN_TRACES),

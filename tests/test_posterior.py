@@ -5,6 +5,7 @@ import pytest
 import scipy.stats as st
 
 from linbandits import posterior
+from linbandits.linalg import weighted_norm
 from linbandits.normal import norm_cdf, norm_ppf
 from linbandits.posterior import (
     GaussianPosterior,
@@ -81,22 +82,27 @@ def test_non_spd_covariance_fails_at_construction():
         GaussianPosterior(np.zeros(2), 1.0, np.array([1.0, 0.0]))
 
 
+def _quantile(post, arm, gamma):
+    """The gamma-quantile score of one arm, through the (K, d) scorer."""
+    return post.arm_value_quantiles(np.asarray(arm, dtype=float)[None], gamma)[0]
+
+
 def test_arm_value_quantile_examples():
     post = GaussianPosterior(np.array([1.0, 0.0]), 1.0, np.eye(2))
-    assert post.arm_value_quantile([1.0, 0.0], 0.5) == pytest.approx(1.0)
+    assert _quantile(post, [1.0, 0.0], 0.5) == pytest.approx(1.0)
     # oracle: inverse normal CDF at 0.9
-    assert post.arm_value_quantile([1.0, 0.0], 0.9) == pytest.approx(
+    assert _quantile(post, [1.0, 0.0], 0.9) == pytest.approx(
         1.0 + st.norm.ppf(0.9), abs=1e-9
     )
-    assert post.arm_value_quantile([0.0, 0.0], 0.37) == 0.0
+    assert _quantile(post, [0.0, 0.0], 0.37) == 0.0
     with pytest.raises(ValueError):
-        post.arm_value_quantile([1.0, 0.0], 1.0)
+        _quantile(post, [1.0, 0.0], 1.0)
 
 
 def test_arm_value_quantile_increasing_in_gamma():
     post = GaussianPosterior(np.array([0.3, -0.4]), 0.8, np.array([[2.0, 0.3], [0.3, 1.0]]))
     arm = np.array([0.6, -0.2])
-    values = [post.arm_value_quantile(arm, g) for g in np.linspace(0.01, 0.99, 33)]
+    values = [_quantile(post, arm, g) for g in np.linspace(0.01, 0.99, 33)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -106,10 +112,10 @@ def test_quantile_matches_empirical_quantile():
     rng = np.random.default_rng(8)
     draws = post.sample(rng, size=1_000_000) @ arm
     for gamma in (0.2, 0.5, 0.9):
-        exact = post.arm_value_quantile(arm, gamma)
+        exact = _quantile(post, arm, gamma)
         empirical = float(np.quantile(draws, gamma))
         # quantile standard error from the exact normal density at the quantile
-        spread = post.scale * post.arm_norm(arm)
+        spread = post.scale * weighted_norm(post.cov, arm)
         dens = st.norm.pdf((exact - draws.mean() * 0) * 0 + st.norm.ppf(gamma)) / spread
         se = math.sqrt(gamma * (1 - gamma) / draws.size) / dens
         assert abs(empirical - exact) < 3 * se
@@ -121,13 +127,13 @@ def test_anti_concentration_links_to_quantile():
     post = GaussianPosterior(np.array([0.2, -0.1]), 1.5, np.array([[1.0, 0.2], [0.2, 0.5]]))
     arm = np.array([0.7, 0.3])
     kappa1 = 1.0 - st.norm.cdf(1.0)
-    exact = post.arm_value_quantile(arm, 1.0 - kappa1)
-    floor = float(arm @ post.mean) + post.scale * post.arm_norm(arm)
+    exact = _quantile(post, arm, 1.0 - kappa1)
+    floor = float(arm @ post.mean) + post.scale * weighted_norm(post.cov, arm)
     assert exact >= floor - 1e-12
     rng = np.random.default_rng(9)
     draws = post.sample(rng, size=200_000) @ arm
     empirical = float(np.quantile(draws, 1.0 - kappa1))
-    spread = post.scale * post.arm_norm(arm)
+    spread = post.scale * weighted_norm(post.cov, arm)
     se = math.sqrt(kappa1 * (1 - kappa1) / draws.size) / (st.norm.pdf(1.0) / spread)
     assert empirical >= floor - 3 * se
 

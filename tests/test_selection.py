@@ -203,6 +203,6 @@ def test_highdim_linbucb_traces_are_bit_stable(tmp_path):
         policies=("linbucb", "linbucb_approx"),
     )
     path = os.path.join(tmp_path, "traces.csv")
-    write_traces_csv(run_experiment(config), path)
+    write_traces_csv(run_experiment(config).traces, path)
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == _HIGHDIM_TRACES_SHA256
