@@ -154,6 +154,17 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type for a count: a usage error, not a failure mid-way."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linbandits",
@@ -174,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--policy", choices=("lints", "linbucb"), required=True)
     p_adv.add_argument("--alpha", type=float, required=True)
     p_adv.add_argument("--epsilon", type=float, required=True)
-    p_adv.add_argument("--horizon", type=int, required=True)
-    p_adv.add_argument("--runs", type=int, default=1)
+    p_adv.add_argument("--horizon", type=_positive_int, required=True)
+    p_adv.add_argument("--runs", type=_positive_int, default=1)
     p_adv.add_argument("--seed", type=int, default=20240601)
     p_adv.add_argument("--gamma", type=float, default=0.9)
     p_adv.add_argument("--mu1", type=float, default=1.0)

@@ -237,6 +237,11 @@ def load_config(path: str) -> ExperimentConfig:
         except configparser.Error as exc:
             # configparser's messages span lines; an error here is one line
             raise ValueError(" ".join(str(exc).split())) from exc
+    if parser.defaults():
+        # configparser copies [DEFAULT] keys into every section, so the loop
+        # below would blame the first section for them
+        key = next(iter(parser.defaults()))
+        raise ValueError(f"key {key!r} in section [DEFAULT]: every key belongs in its own section")
     sections = {section for section, _ in CONFIG_KEYS}
     values: dict = {}
     for section in parser.sections():

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from linbandits import adversarial
 from linbandits.cli import main
 from linbandits.harness import ExperimentConfig, save_config
 
@@ -102,6 +103,34 @@ def test_verify_command(capsys):
     assert main(["verify", "--suite", "quantile-shift"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out.replace("FAILED", "")
+
+
+def test_verify_concentration_stdout_is_pinned(capsys):
+    # recorded before the Type-II certificate stopped partitioning every row
+    assert main(["verify", "--suite", "concentration"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == "92dbe13e0ba1485f55154565721379eafc46f3cc89615e3b97343286a397e2b4"
+
+
+@pytest.mark.parametrize("flag", ["--runs", "--horizon"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_adversarial_counts_must_be_positive(tmp_path, capsys, monkeypatch, flag, value):
+    def no_episode(**kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(adversarial, "run_adversarial_episode", no_episode)
+    argv = ["adversarial", "--policy", "lints", "--alpha", "2.0", "--epsilon", "0.1",
+            "--horizon", "20", "--output-dir", str(tmp_path / "adv"), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    usage, _, error = capsys.readouterr().err.rstrip("\n").rpartition("\n")
+    assert usage.startswith("usage: linbandits adversarial")
+    assert error == (
+        f"linbandits adversarial: error: argument {flag}: "
+        f"must be a positive integer, got '{value}'"
+    )
+    assert not os.path.exists(tmp_path / "adv")
 
 
 def test_bounds_command(capsys):

@@ -67,6 +67,23 @@ def test_unknown_keys_and_sections_rejected(tmp_path):
         load_config(path)
 
 
+def test_default_section_keys_rejected_by_name(tmp_path):
+    # configparser copies [DEFAULT] keys into every section; the error must
+    # name [DEFAULT], not the first section they were copied into
+    path = os.path.join(tmp_path, "default.cfg")
+    save_config(_tiny(), path)
+    with open(path) as fh:
+        text = fh.read()
+    for key in ("nu", "family"):
+        with open(path, "w") as fh:
+            fh.write(f"[DEFAULT]\n{key} = 0.5\n\n" + text)
+        with pytest.raises(ValueError) as exc:
+            load_config(path)
+        message = str(exc.value)
+        assert "[DEFAULT]" in message and repr(key) in message
+        assert "[experiment]" not in message and "\n" not in message
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _tiny(policies=("lints", "lints"))

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from linbandits import posterior
 from linbandits.linalg import weighted_norm
@@ -220,6 +223,66 @@ def test_certify_type2_matches_samples_by_directions_layout(monkeypatch, dim):
         got = certify_concentration_type2(*args, np.random.default_rng(dim))
         want = _type2_samples_by_directions(*args, np.random.default_rng(dim))
         assert got == want
+
+
+# Recorded before the certificate took its maximum without partitioning every
+# row: the returned float must not move by one bit.
+_TYPE2_GOLDEN = {
+    (2, 0.05): "0x1.a783e1563495ep+0",
+    (2, 0.25): "0x1.5c4827284286fp-1",
+    (20, 0.05): "0x1.a6f891633ef7fp+0",
+    (20, 0.25): "0x1.5ce3797c7a302p-1",
+    (200, 0.05): "0x1.a7d96db0ee9dep+0",
+    (200, 0.25): "0x1.5c7c60ac0e72ep-1",
+}
+
+
+@pytest.mark.parametrize("dim", [2, 20, 200])
+def test_certify_type2_golden_at_default_budget(dim):
+    for delta in (0.05, 0.25):
+        got = certify_concentration_type2(
+            standard_normal_sampler(dim), delta, 64, 200_000, np.random.default_rng(dim)
+        )
+        assert got.hex() == _TYPE2_GOLDEN[dim, delta]
+
+
+_TIES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0)
+
+
+@hst.composite
+def _rows_and_level(draw):
+    m = draw(hst.integers(1, 8))
+    n = draw(hst.integers(1, 300))
+    value = hst.one_of(
+        hst.sampled_from(_TIES),  # many ties, signed zeros included
+        hst.sampled_from((np.nan, np.inf, -np.inf)),
+        hst.floats(allow_nan=True, allow_infinity=True),
+    )
+    # arrays() draws a fill value and then overwrites a few entries, so
+    # most rows are long runs of ties
+    rows = draw(arrays(np.float64, (m, n), elements=value))
+    for i in range(m):
+        if draw(hst.booleans()):
+            rows[i] = draw(hst.sampled_from(_TIES))  # a constant row
+    level = draw(
+        hst.one_of(
+            hst.sampled_from((0.5, 0.95, 0.999, 1.0 - 1e-9, 1.0 - 2.0**-53)),
+            hst.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        )
+    )
+    return rows, level
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rows_and_level())
+# row 1 has no entry near row 0's quantile, so only its NaN can matter
+@example((np.array([[5.0] * 10, [0.0] * 9 + [np.nan]]), 0.5))
+def test_max_row_quantile_matches_numpy_bit_for_bit(case):
+    rows, level = case
+    with np.errstate(all="ignore"):
+        want = float(np.max(np.quantile(rows, level, axis=1)))
+        got = posterior._max_row_quantile(rows.copy(), level)
+    assert got.hex() == want.hex()
 
 
 def test_certify_type1_feasibility():
