@@ -8,7 +8,7 @@ import numpy as np
 
 from linbandits import (
     ConfidenceParams,
-    Gaussian,
+    GaussianPosterior,
     Method,
     alpha_divergence,
     derive_bound_constants,
@@ -22,7 +22,7 @@ from linbandits import (
 rng = np.random.default_rng(5)
 
 # --- three routes to the same number ---------------------------------------
-p1, p2 = Gaussian([0.0], [[1.0]]), Gaussian([0.6], [[1.1]])
+p1, p2 = GaussianPosterior([0.0], 1.0, [[1.0]]), GaussianPosterior([0.6], 1.0, [[1.1]])
 print("one divergence, three routes (alpha = 2):")
 for method in (Method.CLOSED_FORM_GAUSSIAN, Method.QUADRATURE_1D, Method.MONTE_CARLO):
     res = alpha_divergence(p1, p2, 2.0, method, rng=rng)
@@ -34,8 +34,8 @@ rhs = alpha_divergence(p2, p1, -1.0).value
 print(f"  order reflection residual: {abs(lhs - rhs):.2e}\n")
 
 # --- invariance under invertible affine maps --------------------------------
-g1 = Gaussian([0.2, -0.4], [[1.0, 0.2], [0.2, 0.6]])
-g2 = Gaussian([0.0, 0.1], [[0.9, 0.1], [0.1, 0.8]])
+g1 = GaussianPosterior([0.2, -0.4], 1.0, [[1.0, 0.2], [0.2, 0.6]])
+g2 = GaussianPosterior([0.0, 0.1], 1.0, [[0.9, 0.1], [0.1, 0.8]])
 report = verify_invariance(g1, g2, shift=[1.0, -2.0], matrix=[[2.0, 0.3], [0.1, 1.5]], alpha=2.0)
 print("affine invariance on a 2-d pair:")
 print(f"  joint divergence     {report.joint_value:.8f}")
@@ -43,7 +43,7 @@ print(f"  after the affine map {report.transformed_value:.8f} (residual {report.
 print(f"  scalar projections   {[round(v, 6) for v in report.projection_values]} (all <= joint)\n")
 
 # --- a budgeted reweighting and its quantile shift ---------------------------
-base = Gaussian([0.0], [[1.0]])
+base = GaussianPosterior([0.0], 1.0, [[1.0]])
 tilted = two_region_reweight(0.0, 1.0, cut=0.3, lower_weight=0.85)
 for alpha in (2.0, -1.0):
     eps = alpha_divergence(base, tilted, alpha).value

@@ -65,8 +65,7 @@ class AdversarialPosteriorPair:
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and full covariance of the exact posterior."""
-        cov_shape = self.pi.cov if self.pi.cov.ndim == 2 else np.diag(self.pi.cov)
-        return self.pi.mean, self.pi.scale**2 * cov_shape
+        return self.pi.mean, self.pi.covariance
 
     @cached_property
     def conditional_law(self) -> tuple[float, float, float, float, float]:
@@ -140,12 +139,15 @@ def choose_r(alpha: float, epsilon: float, gamma: float | None = None, cap: floa
     The interval is ``(1, (eps a (a-1) + 1)^(1/(a-1)))`` for ``a != 1`` (upper
     endpoint replaced by ``cap`` when the base is non-positive) and
     ``(1, e^eps)`` for ``a = 1``; the quantile construction raises the lower
-    endpoint to ``1 / gamma`` and rejects budgets that cannot clear it.
+    endpoint to ``1 / gamma``. A budget whose interval is empty is rejected.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    for name, value in (("alpha", alpha), ("epsilon", epsilon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive")
+    if gamma is not None and not (0.0 < gamma < 1.0):
+        raise ValueError("gamma must lie in (0, 1)")
     lower = 1.0 if gamma is None else 1.0 / gamma
     if alpha == 1.0:
         upper = math.exp(epsilon)
@@ -155,6 +157,8 @@ def choose_r(alpha: float, epsilon: float, gamma: float | None = None, cap: floa
             return max(cap, lower + 1.0)
         upper = base ** (1.0 / (alpha - 1.0))
     if upper <= lower:
+        if gamma is None:  # the interval (1, upper) rounded away
+            raise ValueError(f"budget epsilon={epsilon} is too small at alpha={alpha}")
         if alpha == 1.0:
             threshold = -math.log(gamma)
         else:
@@ -171,7 +175,7 @@ def _sample_region(
 ) -> np.ndarray:
     proposals = 0
     while proposals < _MAX_PROPOSALS:
-        batch = pi.sample(rng, size=128)
+        batch = pi.sample(128, rng)
         proposals += batch.shape[0]
         mask = batch[:, 0] < batch[:, 1] if second_wins else batch[:, 0] >= batch[:, 1]
         if np.any(mask):
@@ -424,7 +428,7 @@ def run_adversarial_episode(
                 if certify:
                     divs[t] = ts_divergence(pair, alpha)[0]
             else:
-                draw = pi.sample(rng)
+                draw = pi.sample(1, rng)[0]
             idx = 0 if draw[0] >= draw[1] else 1
         else:
             if r > 1.0:

@@ -169,7 +169,7 @@ def select_arm(
         raise ValueError("arms must be a non-empty (K, d) collection")
     mean, scale, cov = _posterior_params(state, config, arm_matrix.shape[1])
     if config.kind is Kind.LINTS:
-        theta = GaussianPosterior(mean, scale, cov).sample(rng)
+        theta = GaussianPosterior(mean, scale, cov).sample(1, rng)[0]
         return int(np.argmax(arm_matrix @ theta))
     return best_quantile_arm(mean, scale, cov, arm_matrix, config.gamma)
 

@@ -18,112 +18,16 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import solve_triangular
 
 from .linalg import ConfidenceParams, beta
 from .normal import norm_cdf, norm_ppf
+from .posterior import _LOG_SQRT_2PI, _TAIL_SDS, GaussianPosterior
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_TAIL_SDS = 12.0  # quadrature truncation, in base standard deviations
 DEFAULT_MC_SAMPLES = 100_000
 
 
 # ---------------------------------------------------------------------------
-# Distribution descriptors
-
-
-class Gaussian:
-    """Multivariate normal descriptor with density, sampling, and transforms."""
-
-    def __init__(self, mean, cov):
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.asarray(cov, dtype=float)
-        if cov.ndim == 0:
-            cov = cov.reshape(1, 1)
-        elif cov.ndim == 1:
-            cov = np.diag(cov)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise ValueError("mean and covariance have mismatched shapes")
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance must be positive definite") from exc
-        self.mean = mean
-        self.cov = cov
-        self._chol = chol
-        self._logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        self._mean0 = float(mean[0])
-        self._sd0 = float(chol[0, 0])
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def logpdf(self, x) -> np.ndarray | float:
-        """Log-density at one point or at an ``(n, dim)`` array of points.
-
-        A univariate descriptor given a Python float returns a Python float
-        and touches no array: the quadrature integrands evaluate one point
-        per call. Univariate points standardize as ``(x - mean) / sd`` on
-        both paths, so a point's log-density does not depend on how points
-        are batched: ``logpdf(x) == logpdf([x, ...])[0]`` bit for bit. (A
-        triangular solve would divide for one point but multiply by the
-        reciprocal for several.)
-        """
-        if self.dim == 1 and isinstance(x, float):
-            z = (x - self._mean0) / self._sd0
-            return -0.5 * (z * z) - 0.5 * self._logdet - _LOG_SQRT_2PI
-        pts = np.asarray(x, dtype=float)
-        if self.dim == 1:
-            # flat arrays and (n, 1) columns are n scalar points
-            if pts.ndim > 2 or (pts.ndim == 2 and pts.shape[1] != 1):
-                raise ValueError("univariate points must be a flat or an (n, 1) array")
-            z = (pts.reshape(-1) - self._mean0) / self._sd0
-            return -0.5 * (z * z) - 0.5 * self._logdet - _LOG_SQRT_2PI
-        pts = np.atleast_2d(pts)
-        diff = pts - self.mean
-        sol = solve_triangular(self._chol, diff.T, lower=True, check_finite=False)
-        quad = np.sum(sol * sol, axis=0)
-        return -0.5 * quad - 0.5 * self._logdet - self.dim * _LOG_SQRT_2PI
-
-    def pdf(self, x) -> np.ndarray:
-        return np.exp(self.logpdf(x))
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal((n, self.dim))
-        return self.mean + z @ self._chol.T
-
-    def affine(self, shift, matrix) -> "Gaussian":
-        b = np.atleast_2d(np.asarray(matrix, dtype=float))
-        a = np.atleast_1d(np.asarray(shift, dtype=float))
-        return Gaussian(a + b @ self.mean, b @ self.cov @ b.T)
-
-    def project(self, u) -> "Gaussian":
-        u = np.asarray(u, dtype=float)
-        return Gaussian([float(u @ self.mean)], [[float(u @ self.cov @ u)]])
-
-    # 1-D conveniences
-    def _scalar(self) -> tuple[float, float]:
-        if self.dim != 1:
-            raise ValueError("operation requires a univariate descriptor")
-        return float(self.mean[0]), math.sqrt(float(self.cov[0, 0]))
-
-    def cdf(self, x: float) -> float:
-        mu, sd = self._scalar()
-        return float(norm_cdf((x - mu) / sd))
-
-    def ppf(self, gamma: float) -> float:
-        mu, sd = self._scalar()
-        return mu + sd * norm_ppf(gamma)
-
-    def support_bounds(self) -> tuple[float, float]:
-        if self.dim != 1:
-            raise ValueError("support bounds are univariate")
-        mu, sd = self._scalar()
-        return mu - _TAIL_SDS * sd, mu + _TAIL_SDS * sd
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
+# Distribution descriptors (``posterior.GaussianPosterior`` is the Gaussian one)
 
 
 class ReweightedGaussian1D:
@@ -136,16 +40,20 @@ class ReweightedGaussian1D:
     """
 
     def __init__(self, base_mean: float, base_sd: float, cuts, weights):
-        if base_sd <= 0.0:
-            raise ValueError("base_sd must be positive")
+        if not math.isfinite(base_mean):
+            raise ValueError("base_mean must be finite")
+        if not (0.0 < base_sd < math.inf):
+            raise ValueError("base_sd must be finite and positive")
         cuts = tuple(float(c) for c in cuts)
         weights = tuple(float(w) for w in weights)
+        if not all(math.isfinite(c) for c in cuts):
+            raise ValueError("cuts must be finite")
         if sorted(cuts) != list(cuts):
             raise ValueError("cuts must be ascending")
         if len(weights) != len(cuts) + 1:
             raise ValueError("need exactly one weight per interval")
-        if any(w <= 0.0 for w in weights):
-            raise ValueError("weights must be strictly positive")
+        if not all(0.0 < w < math.inf for w in weights):
+            raise ValueError("weights must be finite and strictly positive")
         self.base_mean = float(base_mean)
         self.base_sd = float(base_sd)
         self.cuts = cuts
@@ -163,10 +71,6 @@ class ReweightedGaussian1D:
     @property
     def dim(self) -> int:
         return 1
-
-    @property
-    def interval_masses(self) -> np.ndarray:
-        return self._base_masses.copy()
 
     def _interval_of(self, x: np.ndarray) -> np.ndarray:
         return np.searchsorted(np.asarray(self.cuts), x, side="right")
@@ -262,8 +166,8 @@ class SampledDensity:
 def _base_of(p) -> tuple[float, float]:
     if isinstance(p, ReweightedGaussian1D):
         return p.base_mean, p.base_sd
-    if isinstance(p, Gaussian) and p.dim == 1:
-        return float(p.mean[0]), math.sqrt(float(p.cov[0, 0]))
+    if isinstance(p, GaussianPosterior) and p.dim == 1:
+        return p._scalar
     raise TypeError("descriptor has no univariate Gaussian base")
 
 
@@ -298,11 +202,13 @@ class DivergenceResult:
         return math.isfinite(self.value)
 
 
-def _gaussian_cross_log_integral(p1: Gaussian, p2: Gaussian, alpha: float) -> float | None:
+def _gaussian_cross_log_integral(
+    p1: GaussianPosterior, p2: GaussianPosterior, alpha: float
+) -> float | None:
     """log of int p1^a p2^(1-a); None when the blended precision loses
     positive definiteness (the divergence is infinite)."""
-    prec1 = np.linalg.inv(p1.cov)
-    prec2 = np.linalg.inv(p2.cov)
+    prec1 = np.linalg.inv(p1.covariance)
+    prec2 = np.linalg.inv(p2.covariance)
     blended = alpha * prec1 + (1.0 - alpha) * prec2
     try:
         chol = np.linalg.cholesky(blended)
@@ -323,17 +229,17 @@ def _gaussian_cross_log_integral(p1: Gaussian, p2: Gaussian, alpha: float) -> fl
     )
 
 
-def _gaussian_kl(p1: Gaussian, p2: Gaussian) -> float:
+def _gaussian_kl(p1: GaussianPosterior, p2: GaussianPosterior) -> float:
     """KL(p1 || p2) for Gaussian descriptors."""
-    sol = np.linalg.solve(p2.cov, p1.cov)
+    sol = np.linalg.solve(p2.covariance, p1.covariance)
     diff = p2.mean - p1.mean
-    maha = float(diff @ np.linalg.solve(p2.cov, diff))
+    maha = float(diff @ np.linalg.solve(p2.covariance, diff))
     return 0.5 * (float(np.trace(sol)) + maha - p1.dim + p2._logdet - p1._logdet)
 
 
 def _closed_form(p1, p2, alpha: float) -> float | None:
     """Exact divergence, or None when no closed form applies."""
-    if isinstance(p1, Gaussian) and isinstance(p2, Gaussian):
+    if isinstance(p1, GaussianPosterior) and isinstance(p2, GaussianPosterior):
         if alpha == 1.0:
             return _gaussian_kl(p1, p2)
         if alpha == 0.0:
@@ -348,7 +254,7 @@ def _closed_form(p1, p2, alpha: float) -> float | None:
         return None
     anchor = reweighted[0]
     for p in (p1, p2):
-        if not (isinstance(p, (Gaussian, ReweightedGaussian1D)) and p.dim == 1):
+        if not (isinstance(p, (GaussianPosterior, ReweightedGaussian1D)) and p.dim == 1):
             return None
         if not anchor.same_base(p):
             return None
@@ -380,7 +286,7 @@ def _closed_form(p1, p2, alpha: float) -> float | None:
 def _point_logpdf(p) -> Callable[[float], float]:
     """One-point log-density for the quadrature integrands: a univariate
     Gaussian takes the float path of its ``logpdf``."""
-    if isinstance(p, Gaussian):
+    if isinstance(p, GaussianPosterior):
         return p.logpdf
     return lambda x: float(p.logpdf([x])[0])
 
@@ -726,7 +632,7 @@ def verify_invariance(
     t1 = p1.affine(shift, matrix)
     t2 = p2.affine(shift, matrix)
 
-    gaussian_pair = isinstance(p1, Gaussian) and isinstance(p2, Gaussian)
+    gaussian_pair = isinstance(p1, GaussianPosterior) and isinstance(p2, GaussianPosterior)
     if gaussian_pair:
         base = alpha_divergence(p1, p2, alpha, Method.CLOSED_FORM_GAUSSIAN)
         moved = alpha_divergence(t1, t2, alpha, Method.CLOSED_FORM_GAUSSIAN)

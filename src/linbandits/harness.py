@@ -115,6 +115,7 @@ class ExperimentConfig:
             raise ValueError("family P3 requires instance_seed")
         if self.family == "custom" and self.theta is None:
             raise ValueError("family custom requires theta")
+        self.confidence()  # last: it builds the instance that the checks above allow
 
     def instance(self) -> BanditInstance:
         return make_instance(
@@ -128,7 +129,10 @@ class ExperimentConfig:
 
     def resolved_s_bound(self) -> float:
         if self.s_bound == "auto":
-            return self.instance().theta_norm
+            norm = self.instance().theta_norm
+            if not norm > 0.0:
+                raise ValueError("s_bound = auto is the norm of theta, which is 0; set s_bound")
+            return norm
         return float(self.s_bound)
 
     def confidence(self) -> ConfidenceParams:

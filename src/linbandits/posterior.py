@@ -4,6 +4,8 @@ asks of a standardized posterior law.
 
 A posterior is ``mean + scale * C^(1/2) z`` with ``z`` standard normal and
 ``C`` either a full SPD matrix (the maintained design inverse) or a diagonal.
+``GaussianPosterior`` is the package's one Gaussian law: the divergence
+routes take it as a descriptor too (density, affine maps, projections).
 Samplers passed to the ``certify_*`` functions yield the standardized variable
 ``scale^-1 V^(1/2) (theta - mean)`` directly; any distribution exposing that
 interface can be certified, not just the Gaussian.
@@ -13,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .normal import norm_ppf
+from .normal import norm_cdf, norm_ppf
 
 # Default certification budget.
 DEFAULT_SAMPLES = 200_000
@@ -27,6 +31,8 @@ _CHUNK = 50_000
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _SIGNS = np.array([[-1.0], [1.0]])
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_TAIL_SDS = 12.0  # quadrature truncation of a univariate law, in its sds
 
 Sampler = Callable[[int, np.random.Generator], np.ndarray]
 
@@ -59,13 +65,16 @@ def _checked(mean, scale, cov) -> tuple[np.ndarray, float, np.ndarray]:
 
 @dataclass(frozen=True)
 class GaussianPosterior:
-    """Gaussian law ``N(mean, scale^2 * cov)`` with a cached square root.
+    """Gaussian law ``N(mean, scale^2 * cov)``: the posterior the policies and
+    adversaries sample, and the descriptor the divergence routes compare.
 
     ``cov`` is the covariance shape: a (d, d) SPD matrix or a (d,) positive
     diagonal. Construction factorises a dense shape and fails on a non-SPD
-    one, so that sampling never does. Quantile selection needs no square
-    root: it goes through the module-level ``best_quantile_arm``, which
-    callers that never sample use directly, without constructing this class.
+    one, so that sampling never does. The dense ``covariance`` and what the
+    density needs are built on first use, so a policy step that only samples
+    pays for none of them. Quantile selection needs no square root: it goes
+    through the module-level ``best_quantile_arm``, which callers that never
+    sample use directly, without constructing this class.
     """
 
     mean: np.ndarray
@@ -95,15 +104,13 @@ class GaussianPosterior:
     def is_diagonal(self) -> bool:
         return self.cov.ndim == 1
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Draw ``mean + scale * C^(1/2) z``; deterministic given the rng state."""
-        n = 1 if size is None else int(size)
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` draws ``mean + scale * C^(1/2) z`` as an (n, d) array;
+        deterministic given the rng state."""
         z = rng.standard_normal((n, self.dim))
         if self.is_diagonal:
-            draws = self.mean + self.scale * z * self._sqrt
-        else:
-            draws = self.mean + self.scale * (z @ self._sqrt.T)
-        return draws[0] if size is None else draws
+            return self.mean + self.scale * z * self._sqrt
+        return self.mean + self.scale * (z @ self._sqrt.T)
 
     def arm_value_quantiles(self, arms: np.ndarray, gamma: float) -> np.ndarray:
         """Closed-form gamma-quantiles of the scalar laws ``a_i . theta``
@@ -112,9 +119,83 @@ class GaussianPosterior:
         a = np.asarray(arms, dtype=float)
         return _quantile_scores(a @ self.mean, _quadratic_forms(self.cov, a), z, self.scale)
 
-    def best_quantile_arm(self, arms: np.ndarray, gamma: float) -> int:
-        """The module-level ``best_quantile_arm`` under this law."""
-        return best_quantile_arm(self.mean, self.scale, self.cov, arms, gamma)
+    # -- descriptor interface of the divergence routes --------------------
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """The dense covariance ``scale^2 * C``."""
+        shape = np.diag(self.cov) if self.is_diagonal else self.cov
+        return self.scale**2 * shape
+
+    @cached_property
+    def _chol(self) -> np.ndarray:
+        """Lower factor of ``covariance``: ``scale`` times that of C."""
+        return self.scale * (np.diag(self._sqrt) if self.is_diagonal else self._sqrt)
+
+    @cached_property
+    def _logdet(self) -> float:
+        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+
+    @cached_property
+    def _scalar(self) -> tuple[float, float]:
+        """Mean and sd of a univariate law."""
+        if self.dim != 1:
+            raise ValueError("operation requires a univariate law")
+        return float(self.mean[0]), math.sqrt(float(self.covariance[0, 0]))
+
+    def logpdf(self, x) -> np.ndarray | float:
+        """Log-density at one point or at an ``(n, dim)`` array of points.
+
+        A univariate law given a Python float returns a Python float and
+        touches no array: the quadrature integrands evaluate one point per
+        call. Univariate points standardize as ``(x - mean) / sd`` on both
+        paths, so a point's log-density does not depend on how points are
+        batched: ``logpdf(x) == logpdf([x, ...])[0]`` bit for bit. (A
+        triangular solve would divide for one point but multiply by the
+        reciprocal for several.)
+        """
+        if self.dim == 1:
+            if not isinstance(x, float):
+                x = np.asarray(x, dtype=float)
+                # flat arrays and (n, 1) columns are n scalar points
+                if x.ndim > 2 or (x.ndim == 2 and x.shape[1] != 1):
+                    raise ValueError("univariate points must be a flat or an (n, 1) array")
+                x = x.reshape(-1)
+            mu, sd = self._scalar
+            z = (x - mu) / sd
+            return -0.5 * (z * z) - 0.5 * self._logdet - _LOG_SQRT_2PI
+        diff = np.atleast_2d(np.asarray(x, dtype=float)) - self.mean
+        sol = solve_triangular(self._chol, diff.T, lower=True, check_finite=False)
+        quad = np.sum(sol * sol, axis=0)
+        return -0.5 * quad - 0.5 * self._logdet - self.dim * _LOG_SQRT_2PI
+
+    def affine(self, shift, matrix) -> "GaussianPosterior":
+        """The law of ``shift + matrix @ theta``."""
+        b = np.atleast_2d(np.asarray(matrix, dtype=float))
+        a = np.atleast_1d(np.asarray(shift, dtype=float))
+        return GaussianPosterior(a + b @ self.mean, 1.0, b @ self.covariance @ b.T)
+
+    def project(self, u) -> "GaussianPosterior":
+        """The univariate law of ``u . theta``."""
+        u = np.asarray(u, dtype=float)
+        return GaussianPosterior(
+            [float(u @ self.mean)], 1.0, [[float(u @ self.covariance @ u)]]
+        )
+
+    def cdf(self, x: float) -> float:
+        mu, sd = self._scalar
+        return float(norm_cdf((x - mu) / sd))
+
+    def ppf(self, gamma: float) -> float:
+        mu, sd = self._scalar
+        return mu + sd * norm_ppf(gamma)
+
+    def support_bounds(self) -> tuple[float, float]:
+        mu, sd = self._scalar
+        return mu - _TAIL_SDS * sd, mu + _TAIL_SDS * sd
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return ()
 
 
 def best_quantile_arm(mean, scale: float, cov, arms, gamma: float) -> int:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .adversarial import analytic_budget_bound
 from .divergence import (
-    Gaussian,
     Method,
     alpha_divergence,
     degrade_anti_concentration,
@@ -29,6 +28,7 @@ from .divergence import (
 )
 from .normal import norm_cdf, norm_pdf, norm_ppf
 from .posterior import (
+    GaussianPosterior,
     certify_anti_concentration,
     certify_concentration_type1,
     certify_concentration_type2,
@@ -50,14 +50,16 @@ class CheckResult:
     detail: str
 
 
-def _random_gaussian_pair_1d(rng: np.random.Generator) -> tuple[Gaussian, Gaussian]:
+def _random_gaussian_pair_1d(
+    rng: np.random.Generator,
+) -> tuple[GaussianPosterior, GaussianPosterior]:
     # Means and scale ratios stay close so the Monte-Carlo importance weights
     # are light-tailed at every order checked below; heavy-tailed weights make
     # the sample standard error an underestimate and the standard-error
     # comparison meaningless.
     m1, m2 = rng.uniform(-0.175, 0.175, size=2)
     s1, s2 = rng.uniform(0.96, 1.05, size=2)
-    return Gaussian([m1], [[s1**2]]), Gaussian([m2], [[s2**2]])
+    return GaussianPosterior([m1], 1.0, [[s1**2]]), GaussianPosterior([m2], 1.0, [[s2**2]])
 
 
 def suite_divergence(
@@ -124,8 +126,8 @@ def suite_divergence(
         spread = rng.normal(0.0, 0.3, size=(2, 2))
         cov1 = base1 @ base1.T + 0.4 * np.eye(2)
         cov2 = rng.uniform(0.75, 1.3) * cov1 + spread @ spread.T
-        p1 = Gaussian(mean1, cov1)
-        p2 = Gaussian(mean2, cov2)
+        p1 = GaussianPosterior(mean1, 1.0, cov1)
+        p2 = GaussianPosterior(mean2, 1.0, cov2)
         while True:
             mat = rng.normal(0.0, 1.0, size=(2, 2))
             if abs(np.linalg.det(mat)) > 0.2:
@@ -187,7 +189,7 @@ def suite_quantile_shift(seed: int = 20240902, n_pairs: int = 50) -> list[CheckR
         base_sd = float(rng.uniform(0.7, 1.5))
         cut = base_mean + base_sd * float(rng.normal(0.0, 0.8))
         lower_weight = float(rng.uniform(0.6, 0.98))
-        pi = Gaussian([base_mean], [[base_sd**2]])
+        pi = GaussianPosterior([base_mean], 1.0, [[base_sd**2]])
         q = two_region_reweight(base_mean, base_sd, cut, lower_weight)
 
         for alpha, is_upper in ((2.0, True), (-1.0, False)):
@@ -221,7 +223,7 @@ def suite_quantile_shift(seed: int = 20240902, n_pairs: int = 50) -> list[CheckR
     # The analytic reweighting bound dominates the exact divergence at every
     # positive order (the negative orders have no such bound).
     dominated = True
-    pi = Gaussian([0.0], [[1.0]])
+    pi = GaussianPosterior([0.0], 1.0, [[1.0]])
     for r in (1.05, 1.1, 1.3, 2.0):
         q = two_region_reweight(0.0, 1.0, 0.3, 1.0 / r)
         for alpha in (0.5, 1.0, 2.0, 3.0):

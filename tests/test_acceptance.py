@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from linbandits.adversarial import run_adversarial_episode
-from linbandits.divergence import Gaussian, Method, alpha_divergence
+from linbandits.divergence import Method, alpha_divergence
 from linbandits.environments import sublinearity_ratio
 from linbandits.harness import (
     ExperimentConfig,
@@ -22,6 +22,7 @@ from linbandits.harness import (
     sensitivity_sweep,
 )
 from linbandits.linalg import rls_init, rls_update, weighted_norm
+from linbandits.posterior import GaussianPosterior
 from linbandits.verify import run_suite
 
 POLICIES = ("lints", "lints_approx", "linbucb", "linbucb_approx")
@@ -159,7 +160,7 @@ def test_criterion_5_divergence_oracle_agreement():
     for _ in range(100):
         m1, m2 = rng.uniform(-0.175, 0.175, size=2)
         s1, s2 = rng.uniform(0.96, 1.05, size=2)
-        p1, p2 = Gaussian([m1], [[s1**2]]), Gaussian([m2], [[s2**2]])
+        p1, p2 = GaussianPosterior([m1], 1.0, [[s1**2]]), GaussianPosterior([m2], 1.0, [[s2**2]])
         for alpha in (-1.0, 2.0, 3.0):
             exact = alpha_divergence(p1, p2, alpha, Method.CLOSED_FORM_GAUSSIAN)
             quad = alpha_divergence(p1, p2, alpha, Method.QUADRATURE_1D)

@@ -208,7 +208,7 @@ def test_sampling_selection_frequencies_match_dense_integration():
     from linbandits.posterior import GaussianPosterior
 
     post = GaussianPosterior(mean, scale, cov)
-    draws = post.sample(rng, size=n)
+    draws = post.sample(n, rng)
     scores = draws @ arms.T
     picks = np.argmax(scores, axis=1)
     p_hat = float(np.mean(picks == 0))
@@ -220,7 +220,7 @@ def test_sampling_selection_frequencies_match_dense_integration():
     rng_b = np.random.default_rng(7)
     for _ in range(200):
         idx = select_arm(state, config, arms, rng_a)
-        manual = int(np.argmax(arms @ post.sample(rng_b)))
+        manual = int(np.argmax(arms @ post.sample(1, rng_b)[0]))
         assert idx == manual
 
 
@@ -254,7 +254,7 @@ def test_unit_scale_mode_uses_plain_posterior():
     from linbandits.posterior import GaussianPosterior
 
     post = GaussianPosterior(state.rls.estimate, 1.0, state.rls.design_inv)
-    assert idx == int(np.argmax(arms @ post.sample(rng2)))
+    assert idx == int(np.argmax(arms @ post.sample(1, rng2)[0]))
 
 
 def test_linbucb_rejects_negative_variance_at_an_offered_arm():

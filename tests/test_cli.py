@@ -1,8 +1,11 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
+import linbandits
 from linbandits import adversarial
 from linbandits.cli import main
 from linbandits.harness import ExperimentConfig, save_config
@@ -105,6 +108,19 @@ def test_verify_command(capsys):
     assert "PASS" in out and "FAIL" not in out.replace("FAILED", "")
 
 
+@pytest.mark.parametrize(
+    "suite,digest",
+    [
+        ("divergence", "ae216968e9aa6bb8e11f6fedd287f466415460110e2f21d0527ad94414f476f3"),
+        ("quantile-shift", "3c4e3ad0f9a16658665dd880b00f4e7aef762c351633897556bb212015296fa0"),
+    ],
+)
+def test_verify_divergence_stdout_is_pinned(capsys, suite, digest):
+    # recorded while the divergence routes still had a Gaussian class of their own
+    assert main(["verify", "--suite", suite]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_verify_concentration_stdout_is_pinned(capsys):
     # recorded before the Type-II certificate stopped partitioning every row
     assert main(["verify", "--suite", "concentration"]) == 0
@@ -168,6 +184,63 @@ def test_value_error_prints_one_line(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1
     # rejected before any output directory is made
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "policy,alpha,epsilon,detail",
+    [
+        ("lints", "nan", "0.1", "alpha must be finite, got nan"),
+        ("linbucb", "nan", "0.1", "alpha must be finite, got nan"),
+        ("lints", "2", "nan", "epsilon must be finite, got nan"),
+        ("lints", "inf", "0.1", "alpha must be finite, got inf"),
+        ("lints", "2", "1e-300", "budget epsilon=1e-300 is too small at alpha=2.0"),
+        ("lints", "1", "1e-300", "budget epsilon=1e-300 is too small at alpha=1.0"),
+    ],
+)
+def test_adversarial_budget_must_be_finite_and_feasible(tmp_path, capsys, policy, alpha,
+                                                        epsilon, detail):
+    argv = ["adversarial", "--policy", policy, "--alpha", alpha, "--epsilon", epsilon,
+            "--horizon", "50", "--output-dir", str(tmp_path / "adv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"linbandits adversarial: error: {detail}")
+    assert captured.err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "adv")
+
+
+@pytest.mark.parametrize(
+    "line,detail",
+    [
+        ("lambda = -1", "lam must be a finite positive real"),
+        ("nu = nan", "nu must be a finite non-negative real"),
+    ],
+)
+def test_bad_model_numbers_fail_before_the_output_dir(tmp_path, capsys, line, detail):
+    path = _write_config(tmp_path)
+    key = line.split(" = ")[0]
+    with open(path) as fh:
+        text = "".join(
+            f"{line}\n" if row.startswith(f"{key} = ") else row for row in fh
+        )
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("linbandits run: error: ") and detail in err
+    assert err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(linbandits.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "linbandits", "bounds", "--preset", "small"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("preset small: d=5 T=500")
 
 
 def test_sweep_bad_grid_entry_is_one_line(tmp_path, capsys):

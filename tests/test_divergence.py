@@ -7,7 +7,6 @@ import scipy.stats as st
 
 from linbandits.divergence import (
     DEFAULT_KAPPA1,
-    Gaussian,
     Method,
     ReweightedGaussian1D,
     SampledDensity,
@@ -24,11 +23,12 @@ from linbandits.divergence import (
     verify_invariance,
 )
 from linbandits import verify
+from linbandits.posterior import GaussianPosterior
 from linbandits.linalg import ConfidenceParams
 
 
 def test_identical_distributions_have_zero_divergence():
-    g = Gaussian([0.3, -1.0], [[1.0, 0.2], [0.2, 0.8]])
+    g = GaussianPosterior([0.3, -1.0], 1.0, [[1.0, 0.2], [0.2, 0.8]])
     for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0):
         res = alpha_divergence(g, g, alpha)
         assert res.value == pytest.approx(0.0, abs=1e-12)
@@ -36,7 +36,7 @@ def test_identical_distributions_have_zero_divergence():
 
 def test_equal_variance_gaussian_closed_form():
     # oracle: cross integral exp(a(a-1) d^2 / (2 s^2)) for equal variances
-    g1, g2 = Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[1.0]])
+    g1, g2 = GaussianPosterior([0.0], 1.0, [[1.0]]), GaussianPosterior([1.0], 1.0, [[1.0]])
     res = alpha_divergence(g1, g2, 2.0)
     assert res.method is Method.CLOSED_FORM_GAUSSIAN
     assert res.value == pytest.approx((math.e - 1.0) / 2.0, abs=1e-12)
@@ -45,8 +45,8 @@ def test_equal_variance_gaussian_closed_form():
 def test_symmetry_identity_on_random_pairs():
     rng = np.random.default_rng(1)
     for _ in range(25):
-        g1 = Gaussian([rng.normal()], [[rng.uniform(0.5, 2.0) ** 2]])
-        g2 = Gaussian([rng.normal()], [[rng.uniform(0.5, 2.0) ** 2]])
+        g1 = GaussianPosterior([rng.normal()], 1.0, [[rng.uniform(0.5, 2.0) ** 2]])
+        g2 = GaussianPosterior([rng.normal()], 1.0, [[rng.uniform(0.5, 2.0) ** 2]])
         a = alpha_divergence(g1, g2, 2.0)
         b = alpha_divergence(g2, g1, -1.0)
         if a.finite and b.finite:
@@ -54,8 +54,8 @@ def test_symmetry_identity_on_random_pairs():
 
 
 def test_kl_limits_match_gaussian_formula():
-    g1 = Gaussian([0.5, 0.0], [[1.5, 0.2], [0.2, 0.7]])
-    g2 = Gaussian([-0.3, 0.4], [[1.0, 0.0], [0.0, 1.0]])
+    g1 = GaussianPosterior([0.5, 0.0], 1.0, [[1.5, 0.2], [0.2, 0.7]])
+    g2 = GaussianPosterior([-0.3, 0.4], 1.0, [[1.0, 0.0], [0.0, 1.0]])
 
     def kl(a, b):
         # oracle: direct Gaussian KL formula
@@ -83,7 +83,7 @@ def _closed_form_logpdf(x, mean, cov):
 
 def test_univariate_logpdf_float_and_array_paths():
     mean, sd = 0.37, 1.9
-    g = Gaussian([mean], [[sd**2]])
+    g = GaussianPosterior([mean], 1.0, [[sd**2]])
     xs = np.array([-25.0, -3.1, -0.2, 0.0, 0.37, 1.0, 4.4, 30.0])
     exact = _closed_form_logpdf(xs.reshape(-1, 1), [mean], [[sd**2]])
     flat = g.logpdf(xs)
@@ -98,7 +98,7 @@ def test_univariate_logpdf_float_and_array_paths():
 
 
 def test_univariate_logpdf_does_not_depend_on_batching():
-    g = Gaussian([-0.41], [[2.7]])
+    g = GaussianPosterior([-0.41], 1.0, [[2.7]])
     xs = np.random.default_rng(22).normal(0.0, 3.0, size=2000)
     batched = g.logpdf(xs)
     singles = np.array([g.logpdf(x) for x in xs.tolist()])
@@ -115,7 +115,7 @@ def test_logpdf_with_steep_cholesky_factor():
     chol = np.array([[0.5, 0.0, 0.0], [2.0, 0.3, 0.0], [-1.5, 1.2, 0.4]])
     cov = chol @ chol.T
     mean = np.array([0.2, -1.0, 0.5])
-    g = Gaussian(mean, cov)
+    g = GaussianPosterior(mean, 1.0, cov)
     assert abs(g._chol[1, 0]) > g._chol[0, 0]
     pts = np.random.default_rng(21).normal(0.0, 2.0, size=(50, 3))
     np.testing.assert_allclose(g.logpdf(pts), _closed_form_logpdf(pts, mean, cov), rtol=1e-12)
@@ -125,8 +125,8 @@ def test_logpdf_with_steep_cholesky_factor():
 
 
 def test_kl_quadrature_agrees_with_closed_form():
-    g1 = Gaussian([0.5], [[1.3]])
-    g2 = Gaussian([-0.2], [[0.9]])
+    g1 = GaussianPosterior([0.5], 1.0, [[1.3]])
+    g2 = GaussianPosterior([-0.2], 1.0, [[0.9]])
     exact = alpha_divergence(g1, g2, 1.0)
     quad = alpha_divergence(g1, g2, 1.0, Method.QUADRATURE_1D)
     assert quad.value == pytest.approx(exact.value, abs=1e-8)
@@ -134,7 +134,7 @@ def test_kl_quadrature_agrees_with_closed_form():
 
 def test_nonpositive_blend_is_flagged_infinite():
     # alpha=2 with p1 much wider than p2 blows the blended precision
-    g1, g2 = Gaussian([0.0], [[4.0]]), Gaussian([0.0], [[1.0]])
+    g1, g2 = GaussianPosterior([0.0], 1.0, [[4.0]]), GaussianPosterior([0.0], 1.0, [[1.0]])
     res = alpha_divergence(g1, g2, 2.0)
     assert not res.finite
     assert res.value == math.inf
@@ -145,8 +145,8 @@ def test_quadrature_tracks_closed_form():
     # positive definite, so the truncated integral captures all the mass
     rng = np.random.default_rng(2)
     for _ in range(20):
-        g1 = Gaussian([rng.uniform(-0.75, 0.75)], [[rng.uniform(0.96, 1.05) ** 2]])
-        g2 = Gaussian([rng.uniform(-0.75, 0.75)], [[rng.uniform(0.96, 1.05) ** 2]])
+        g1 = GaussianPosterior([rng.uniform(-0.75, 0.75)], 1.0, [[rng.uniform(0.96, 1.05) ** 2]])
+        g2 = GaussianPosterior([rng.uniform(-0.75, 0.75)], 1.0, [[rng.uniform(0.96, 1.05) ** 2]])
         for alpha in (-1.0, 2.0, 3.0):
             exact = alpha_divergence(g1, g2, alpha)
             quad = alpha_divergence(g1, g2, alpha, Method.QUADRATURE_1D)
@@ -155,8 +155,8 @@ def test_quadrature_tracks_closed_form():
 
 def test_monte_carlo_tracks_closed_form():
     rng = np.random.default_rng(3)
-    g1 = Gaussian([0.3], [[1.0]])
-    g2 = Gaussian([-0.2], [[1.1]])
+    g1 = GaussianPosterior([0.3], 1.0, [[1.0]])
+    g2 = GaussianPosterior([-0.2], 1.0, [[1.1]])
     for alpha in (-1.0, 2.0):
         exact = alpha_divergence(g1, g2, alpha)
         mc = alpha_divergence(g1, g2, alpha, Method.MONTE_CARLO, rng=rng, mc_samples=200_000)
@@ -169,7 +169,7 @@ def test_sampled_density_descriptor_runs_monte_carlo():
         draw=lambda n, r: r.standard_normal((n, 1)),
         log_density=lambda x: st.norm.logpdf(np.asarray(x)).reshape(-1),
     )
-    g2 = Gaussian([0.4], [[1.0]])
+    g2 = GaussianPosterior([0.4], 1.0, [[1.0]])
     res = alpha_divergence(p1, g2, 2.0, Method.MONTE_CARLO, rng=rng, mc_samples=100_000)
     exact = (math.exp(2.0 * 0.4**2 / 2.0 * 1.0 * 2.0 / 2.0) - 1.0) / 2.0
     exact = (math.exp(2.0 * 1.0 * 0.4**2 / 2.0) - 1.0) / 2.0
@@ -191,7 +191,7 @@ def test_reweighted_descriptor_is_normalized_and_invertible():
 
 
 def test_reweighted_closed_form_matches_quadrature():
-    pi = Gaussian([0.2], [[1.21]])
+    pi = GaussianPosterior([0.2], 1.0, [[1.21]])
     q = two_region_reweight(0.2, 1.1, -0.3, 0.7)
     for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0):
         exact = alpha_divergence(pi, q, alpha)
@@ -347,8 +347,8 @@ def test_bound_constants_monotone_structure():
 
 
 def test_invariance_identity_transform():
-    g1 = Gaussian([0.0, 1.0], np.eye(2))
-    g2 = Gaussian([0.5, 0.0], [[1.0, 0.3], [0.3, 2.0]])
+    g1 = GaussianPosterior([0.0, 1.0], 1.0, np.eye(2))
+    g2 = GaussianPosterior([0.5, 0.0], 1.0, [[1.0, 0.3], [0.3, 2.0]])
     report = verify_invariance(g1, g2, np.zeros(2), np.eye(2), alpha=2.0)
     assert report.passed
     assert report.residual == pytest.approx(0.0, abs=1e-14)
@@ -358,9 +358,9 @@ def test_invariance_random_affine_and_projections():
     rng = np.random.default_rng(7)
     for _ in range(10):
         base = rng.normal(size=(2, 2))
-        g1 = Gaussian(rng.normal(size=2), base @ base.T + 0.5 * np.eye(2))
+        g1 = GaussianPosterior(rng.normal(size=2), 1.0, base @ base.T + 0.5 * np.eye(2))
         base2 = rng.normal(size=(2, 2))
-        g2 = Gaussian(rng.normal(size=2), base2 @ base2.T + 0.5 * np.eye(2))
+        g2 = GaussianPosterior(rng.normal(size=2), 1.0, base2 @ base2.T + 0.5 * np.eye(2))
         mat = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
         report = verify_invariance(g1, g2, rng.normal(size=2), mat, alpha=2.0)
         assert report.residual < 1e-6
@@ -398,3 +398,158 @@ def test_divergence_suite_flags_biased_monte_carlo(monkeypatch):
     checks = {c.name: c for c in verify.suite_divergence(seed=0, n_pairs=20, n_maps=1)}
     assert not checks[_MC_CHECK].passed
     assert "family-wise" in checks[_MC_CHECK].detail
+
+
+# Float bits of the univariate and bivariate Gaussian descriptor, recorded
+# while ``divergence`` still had a Gaussian class of its own; every route and
+# transform must still give them through ``GaussianPosterior(mean, 1.0, cov)``.
+_DESCRIPTOR_GOLDEN = {
+    "affine_cov": (
+        "0x1.e000000000000p+0", "0x1.8f5c28f5c28f6p-1", "0x1.8f5c28f5c28f5p-1",
+        "0x1.5999999999999p+1",
+    ),
+    "affine_logpdf": ("-0x1.68732bc675361p+1", "-0x1.f1feebfa52cb8p+1"),
+    "affine_mean": ("0x1.999999999999ap-1", "-0x1.999999999999ap-3"),
+    "closed_d1_-1.0": ("0x1.e686e3860f514p-4",),
+    "closed_d1_0.0": ("0x1.1c080c28f2ab2p-3",),
+    "closed_d1_0.5": ("0x1.489d82618b7cep-3",),
+    "closed_d1_1.0": ("0x1.9ac13b47146f8p-3",),
+    "closed_d1_2.0": ("0x1.1db1ae64a935fp-1",),
+    "closed_d2_-1.0": ("inf",),
+    "closed_d2_0.0": ("0x1.b71f5d58970dep-1",),
+    "closed_d2_0.5": ("0x1.44bcc72b0da73p-1",),
+    "closed_d2_1.0": ("0x1.5daed0c41c7a6p-1",),
+    "closed_d2_2.0": ("0x1.c335f668d6935p+1",),
+    "closed_reweighted_-1.0": ("0x1.b62c532fb4dc0p-6",),
+    "closed_reweighted_0.0": ("0x1.b053b9c389b64p-6",),
+    "closed_reweighted_0.5": ("0x1.aedb404794700p-6",),
+    "closed_reweighted_1.0": ("0x1.ae56a6d0c0b1cp-6",),
+    "closed_reweighted_2.0": ("0x1.b024dc62a4b80p-6",),
+    "invariance": (
+        "0x1.c335f668d6935p+1", "0x1.c335f668d694ep+1", "0x1.9000000000000p-47",
+        "0x1.9396dfe5f4418p+0", "0x1.866d6ae00e1bcp-3", "0x1.3eb740b9df50ep-5",
+    ),
+    "logpdf_array_d1": ("-0x1.1492c32848d90p+0", "-0x1.093a923d6602cp+1", "-0x1.40c4178772b47p+1"),
+    "logpdf_array_d2": ("-0x1.f19fa6a790316p+0", "-0x1.7a7597826b540p+1", "-0x1.63a5c0105c1ecp+1"),
+    "logpdf_column_d1": ("-0x1.1492c32848d90p+0", "-0x1.093a923d6602cp+1"),
+    "logpdf_float_d1": ("-0x1.1492c32848d90p+0",),
+    "logpdf_point_d2": ("-0x1.f19fa6a790315p+0",),
+    "mc_d1_-1.0": ("0x1.c23fca7db0dd0p-4", "0x1.b0425a8af2553p-8"),
+    "mc_d1_0.0": ("0x1.1635b341ca539p-3", "0x1.95cf275a9b053p-8"),
+    "mc_d1_0.5": ("0x1.61effb26bf660p-3", "0x1.01dcbd7975fe3p-6"),
+    "mc_d1_1.0": ("0x1.a583efac5284ap-3", "0x1.60888aa7185dbp-7"),
+    "mc_d1_2.0": ("0x1.1df9f79635384p-1", "0x1.e264151d47f6ap-5"),
+    "mc_d2_-1.0": ("0x1.834bb26e66c2dp+2", "0x1.189ccc9769b18p+2"),
+    "mc_d2_0.0": ("0x1.b0c70d8ef0ef8p-1", "0x1.998307e048aa2p-6"),
+    "mc_d2_0.5": ("0x1.5cbb0da3b052cp-1", "0x1.ee0d8fd6bad8cp-6"),
+    "mc_d2_1.0": ("0x1.6f9b0ccd19abcp-1", "0x1.21b22a7c83573p-6"),
+    "mc_d2_2.0": ("0x1.d926de25c3c74p+1", "0x1.22c0d741a1d1dp-1"),
+    "project_cov": ("0x1.2e147ae147ae1p+0",),
+    "project_mean": ("0x1.3333333333333p-2",),
+    "project_ppf_cdf": (
+        "0x1.b12edd2065c1ap+0", "0x1.12c6e8c5b3cb0p-1", "-0x1.9787e0996656bp+3",
+        "0x1.aabb13cc9989fp+3",
+    ),
+    "quad_d1_-1.0": ("0x1.e686e3860f510p-4", "0x1.bf84423800000p-38"),
+    "quad_d1_0.0": ("0x1.1c080c28f2aacp-3", "0x1.6eee79189c000p-38"),
+    "quad_d1_0.5": ("0x1.489d82618b7c0p-3", "0x1.22ca989240000p-38"),
+    "quad_d1_1.0": ("0x1.9ac13b47146fbp-3", "0x1.275a8d4d80000p-40"),
+    "quad_d1_2.0": ("0x1.1db1ae64a92ccp-1", "0x1.5612782400000p-36"),
+    "quad_reweighted_-1.0": ("0x1.fb0871683c5f0p-1", "0x1.8ae51a3080000p-35"),
+    "quad_reweighted_0.0": ("0x1.705ddaa19277bp-2", "0x1.750f00e700000p-40"),
+    "quad_reweighted_0.5": ("0x1.2cf77d74b8580p-2", "0x1.b5807df060000p-38"),
+    "quad_reweighted_1.0": ("0x1.0ba19bc2cd3c0p-2", "0x1.43a2180180000p-38"),
+    "quad_reweighted_2.0": ("0x1.ef0c82ec0dd44p-3", "0x1.551f9c2108000p-35"),
+    "sample_d1": (
+        "0x1.3495ecd055662p-2", "0x1.41da7e1b22756p-1", "-0x1.96c0dba7de100p-10",
+        "-0x1.5bfb3805cdab6p-1",
+    ),
+    "sample_d2": (
+        "0x1.00c579e9bfae9p-1", "0x1.f675f65b2f293p-3", "0x1.5062dd1d15f4ep-3",
+        "-0x1.8d1600db71861p-1", "-0x1.d1c3121ee1a40p-5", "-0x1.c6a2ec7971a10p-1",
+        "0x1.25b6d68c3e758p-1", "0x1.1c0c25fec823ep+0", "-0x1.a52e5a7e8d368p-4",
+        "-0x1.2dd57c96f9338p-1",
+    ),
+}
+
+
+def _descriptor_bits() -> dict[str, list[str]]:
+    def hx(v):
+        return [float(x).hex() for x in np.asarray(v, dtype=float).reshape(-1)]
+
+    g1 = GaussianPosterior([0.3], 1.0, [[1.21]])
+    g2 = GaussianPosterior([-0.2], 1.0, [[0.81]])
+    big1 = GaussianPosterior([0.5, 0.0], 1.0, [[1.5, 0.2], [0.2, 0.7]])
+    big2 = GaussianPosterior([-0.3, 0.4], 1.0, [[1.0, 0.3], [0.3, 2.0]])
+    point = g1.logpdf(0.7)
+    assert isinstance(point, float)
+    out = {
+        "logpdf_float_d1": hx(point),
+        "logpdf_array_d1": hx(g1.logpdf([0.7, -1.3, 2.2])),
+        "logpdf_column_d1": hx(g1.logpdf(np.array([[0.7], [-1.3]]))),
+        "logpdf_array_d2": hx(big1.logpdf([[0.1, 0.2], [-1.0, 0.5], [2.0, -0.3]])),
+        "logpdf_point_d2": hx(big1.logpdf([0.1, 0.2])),
+        "sample_d1": hx(g1.sample(4, np.random.default_rng(7))),
+        "sample_d2": hx(big1.sample(5, np.random.default_rng(7))),
+    }
+    moved = big1.affine([0.3, -0.1], [[1.0, 0.5], [-0.2, 2.0]])
+    out["affine_mean"] = hx(moved.mean)
+    out["affine_cov"] = hx(moved.covariance)
+    out["affine_logpdf"] = hx(moved.logpdf([[0.1, 0.2], [-1.0, 0.5]]))
+    proj = big1.project([0.6, 0.8])
+    out["project_mean"] = hx(proj.mean)
+    out["project_cov"] = hx(proj.covariance)
+    out["project_ppf_cdf"] = hx([proj.ppf(0.9), proj.cdf(0.4), *proj.support_bounds()])
+    q = two_region_reweight(0.3, 1.1, 0.5, 0.8)
+    for a in (-1.0, 0.0, 0.5, 1.0, 2.0):
+        closed = Method.CLOSED_FORM_GAUSSIAN
+        out[f"closed_d1_{a}"] = hx(alpha_divergence(g1, g2, a, closed).value)
+        out[f"closed_d2_{a}"] = hx(alpha_divergence(big1, big2, a, closed).value)
+        out[f"closed_reweighted_{a}"] = hx(alpha_divergence(g1, q, a, closed).value)
+        for key, p1, p2 in (("quad_d1", g1, g2), ("quad_reweighted", g2, q)):
+            res = alpha_divergence(p1, p2, a, Method.QUADRATURE_1D)
+            out[f"{key}_{a}"] = hx([res.value, res.error_estimate])
+        for key, p1, p2 in (("mc_d1", g1, g2), ("mc_d2", big1, big2)):
+            res = alpha_divergence(
+                p1, p2, a, Method.MONTE_CARLO, mc_samples=5000, rng=np.random.default_rng(11)
+            )
+            out[f"{key}_{a}"] = hx([res.value, res.error_estimate])
+    rep = verify_invariance(big1, big2, [0.3, -0.1], [[1.0, 0.5], [-0.2, 2.0]], alpha=2.0)
+    out["invariance"] = hx(
+        [rep.joint_value, rep.transformed_value, rep.residual, *rep.projection_values]
+    )
+    return out
+
+
+def test_gaussian_descriptor_bits_are_pinned():
+    got = _descriptor_bits()
+    assert got.keys() == _DESCRIPTOR_GOLDEN.keys()
+    for key, want in _DESCRIPTOR_GOLDEN.items():
+        assert tuple(got[key]) == want, key
+
+
+def test_diagonal_and_scaled_law_match_the_dense_unit_law():
+    mean = np.array([0.4, -0.7])
+    diag = GaussianPosterior(mean, 1.5, np.array([0.8, 0.3]))
+    dense = GaussianPosterior(mean, 1.0, np.diag(2.25 * np.array([0.8, 0.3])))
+    assert np.array_equal(diag.covariance, dense.covariance)
+    pts = np.array([[0.1, 0.2], [-1.0, 0.5]])
+    assert np.allclose(diag.logpdf(pts), dense.logpdf(pts), rtol=0.0, atol=1e-14)
+    assert alpha_divergence(diag, dense, 2.0).value == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "args,detail",
+    [
+        ((math.nan, 1.0, [0.0], [0.5, 1.5]), "base_mean must be finite"),
+        ((0.0, math.nan, [0.0], [0.5, 1.5]), "base_sd must be finite and positive"),
+        ((0.0, math.inf, [0.0], [0.5, 1.5]), "base_sd must be finite and positive"),
+        ((0.0, 1.0, [math.inf], [1.0, 2.0]), "cuts must be finite"),
+        ((0.0, 1.0, [math.nan], [0.5, 1.5]), "cuts must be finite"),
+        ((0.0, 1.0, [0.0], [math.nan, 1.0]), "weights must be finite and strictly positive"),
+        ((0.0, 1.0, [0.0], [0.5, math.inf]), "weights must be finite and strictly positive"),
+    ],
+)
+def test_reweighted_law_rejects_non_finite_parameters(args, detail):
+    with pytest.raises(ValueError, match=detail):
+        ReweightedGaussian1D(*args)

@@ -43,13 +43,13 @@ def test_norm_cdf_matches_reference():
 def test_scale_zero_sample_is_mean():
     post = GaussianPosterior(np.array([1.0, -2.0]), 0.0, np.eye(2))
     rng = np.random.default_rng(0)
-    assert np.array_equal(post.sample(rng), np.array([1.0, -2.0]))
+    assert np.array_equal(post.sample(1, rng)[0], np.array([1.0, -2.0]))
 
 
 def test_sample_moments_standard():
     post = GaussianPosterior(np.zeros(3), 1.0, np.eye(3))
     rng = np.random.default_rng(5)
-    draws = post.sample(rng, size=100_000)
+    draws = post.sample(100_000, rng)
     assert np.max(np.abs(draws.mean(axis=0))) < 0.02
     cov = np.cov(draws.T)
     assert np.max(np.abs(cov - np.eye(3))) < 0.05
@@ -58,7 +58,7 @@ def test_sample_moments_standard():
 def test_sample_diagonal_scaling():
     post = GaussianPosterior(np.zeros(2), 2.0, np.array([0.25, 1.0]))
     rng = np.random.default_rng(6)
-    draws = post.sample(rng, size=100_000)
+    draws = post.sample(100_000, rng)
     sds = draws.std(axis=0)
     assert sds[0] == pytest.approx(1.0, rel=0.02)
     assert sds[1] == pytest.approx(2.0, rel=0.02)
@@ -70,7 +70,7 @@ def test_sample_standardization_invariant():
     base = rng.standard_normal((3, 3))
     v = base @ base.T + 3.0 * np.eye(3)
     post = GaussianPosterior(np.array([1.0, 2.0, 3.0]), 1.7, np.linalg.inv(v))
-    draws = post.sample(rng, size=100_000)
+    draws = post.sample(100_000, rng)
     vals, vecs = np.linalg.eigh(v)
     v_half = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
     eta = (draws - post.mean) @ v_half.T / post.scale
@@ -113,7 +113,7 @@ def test_quantile_matches_empirical_quantile():
     post = GaussianPosterior(np.array([0.5, 1.0, -0.3]), 1.2, np.array([0.8, 0.4, 1.5]))
     arm = np.array([0.5, -0.7, 0.2])
     rng = np.random.default_rng(8)
-    draws = post.sample(rng, size=1_000_000) @ arm
+    draws = post.sample(1_000_000, rng) @ arm
     for gamma in (0.2, 0.5, 0.9):
         exact = _quantile(post, arm, gamma)
         empirical = float(np.quantile(draws, gamma))
@@ -134,7 +134,7 @@ def test_anti_concentration_links_to_quantile():
     floor = float(arm @ post.mean) + post.scale * weighted_norm(post.cov, arm)
     assert exact >= floor - 1e-12
     rng = np.random.default_rng(9)
-    draws = post.sample(rng, size=200_000) @ arm
+    draws = post.sample(200_000, rng) @ arm
     empirical = float(np.quantile(draws, 1.0 - kappa1))
     spread = post.scale * weighted_norm(post.cov, arm)
     se = math.sqrt(kappa1 * (1 - kappa1) / draws.size) / (st.norm.pdf(1.0) / spread)

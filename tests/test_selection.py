@@ -1,8 +1,7 @@
 """Exactness of quantile arm selection.
 
-``posterior.best_quantile_arm`` (and ``GaussianPosterior.best_quantile_arm``,
-which delegates to it) filters arms with a BLAS product and a rounding-error
-bound, then rescores the survivors with the einsum of
+``posterior.best_quantile_arm`` filters arms with a BLAS product and a
+rounding-error bound, then rescores the survivors with the einsum of
 ``arm_value_quantiles``. These tests pin that it returns exactly the argmax
 of those scores, the two bit-level facts the filter relies on, and that
 quantile selection never factorises the covariance. The chosen arm must not
@@ -27,6 +26,10 @@ from linbandits.posterior import GaussianPosterior, _candidates, best_quantile_a
 
 def _argmax_of_scores(post, arms, gamma) -> int:
     return int(np.argmax(post.arm_value_quantiles(arms, gamma)))
+
+
+def _best(post, arms, gamma) -> int:
+    return best_quantile_arm(post.mean, post.scale, post.cov, arms, gamma)
 
 
 def _random_subsets(rng, k, count):
@@ -105,7 +108,6 @@ def test_best_quantile_arm_is_argmax_of_scores(
     diagonal = GaussianPosterior(post.mean, scale, np.diag(post.cov).copy())
     for law in (post, diagonal):
         want = _argmax_of_scores(law, arms, gamma)
-        assert law.best_quantile_arm(arms, gamma) == want
         assert best_quantile_arm(law.mean, scale, law.cov, arms, gamma) == want
 
 
@@ -116,7 +118,7 @@ def test_step_one_all_ties_keep_every_arm():
     post = GaussianPosterior(np.zeros(200), 2.3, np.eye(200))
     for _ in range(4):
         arms = sample_arm_set(200, 50, rng, "ball")
-        assert post.best_quantile_arm(arms, 0.6) == _argmax_of_scores(post, arms, 0.6)
+        assert _best(post, arms, 0.6) == _argmax_of_scores(post, arms, 0.6)
         assert _candidates(post.cov, post.scale, arms, arms @ post.mean, norm_ppf(0.6)).size == 50
 
 
@@ -137,7 +139,7 @@ def test_layouts_and_non_finite_arms_score_every_row():
         post = GaussianPosterior(np.zeros(120), 1.0, _dense_spd(rng, 120, 1.0))
         arms = np.asfortranarray(_arm_rows(rng, 30, 120, "ulp"))
         want = _argmax_of_scores(post, arms, 0.6)
-        assert post.best_quantile_arm(arms, 0.6) == want
+        assert _best(post, arms, 0.6) == want
         layout_picks += want != _argmax_of_scores(post, np.ascontiguousarray(arms), 0.6)
     assert layout_picks > 0
 
@@ -146,12 +148,12 @@ def test_layouts_and_non_finite_arms_score_every_row():
     arms = _arm_rows(rng, 12, 18, "duplicates")
     for view in (np.asfortranarray(arms[:, :9]), arms[:, ::2], arms[::2, 3:12]):
         assert not view.flags.c_contiguous
-        assert post.best_quantile_arm(view, 0.7) == _argmax_of_scores(post, view, 0.7)
+        assert _best(post, view, 0.7) == _argmax_of_scores(post, view, 0.7)
     for bad in (math.nan, math.inf, -math.inf):
         broken = arms[:, :9].copy()
         broken[4, 2] = bad
         with np.errstate(invalid="ignore"):
-            assert post.best_quantile_arm(broken, 0.7) == _argmax_of_scores(post, broken, 0.7)
+            assert _best(post, broken, 0.7) == _argmax_of_scores(post, broken, 0.7)
 
 
 def test_only_exact_sampling_factorises(monkeypatch):
