@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, optimize, special
+import scipy
 
 from .environments import RegretTrace
 from .linalg import ConfidenceParams, beta, rls_init, rls_update
@@ -133,6 +133,15 @@ def wrap_bucb(pi: GaussianPosterior, r: float, gamma: float) -> AdversarialPoste
     )
 
 
+def check_budget(alpha: float, epsilon: float) -> None:
+    """Reject a divergence budget whose order or size is not finite and positive."""
+    for name, value in (("alpha", alpha), ("epsilon", epsilon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive")
+
+
 def choose_r(alpha: float, epsilon: float, gamma: float | None = None, cap: float = 1e6) -> float:
     """Midpoint of the feasible reweighting interval for a given budget.
 
@@ -141,11 +150,7 @@ def choose_r(alpha: float, epsilon: float, gamma: float | None = None, cap: floa
     ``(1, e^eps)`` for ``a = 1``; the quantile construction raises the lower
     endpoint to ``1 / gamma``. A budget whose interval is empty is rejected.
     """
-    for name, value in (("alpha", alpha), ("epsilon", epsilon)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        if value <= 0.0:
-            raise ValueError(f"{name} must be positive")
+    check_budget(alpha, epsilon)
     if gamma is not None and not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
     lower = 1.0 if gamma is None else 1.0 / gamma
@@ -210,7 +215,7 @@ def _gaussian_mass_below_quad(z0: float) -> tuple[float, float]:
     if z0 <= -38.0:
         return 0.0, 1e-300
     lo = max(-38.0, z0 - 24.0)
-    val, err = integrate.quad(norm_pdf, lo, z0, epsabs=1e-12, limit=200)
+    val, err = scipy.integrate.quad(norm_pdf, lo, z0, epsabs=1e-12, limit=200)
     return val, err
 
 
@@ -260,7 +265,7 @@ def _cut_log_survival(
     m1, m2, sd1, slope, cond_sd = pair.conditional_law
     x1 = m1 + math.sqrt(2.0) * sd1 * nodes
     mu = m2 + slope * (x1 - m1)
-    return mu, special.log_ndtr(-(pair.b_t - mu) / cond_sd)
+    return mu, scipy.special.log_ndtr(-(pair.b_t - mu) / cond_sd)
 
 
 def _bucb_cdf_from_nodes(pair: AdversarialPosteriorPair, value: float) -> np.ndarray:
@@ -274,7 +279,7 @@ def _bucb_cdf_from_nodes(pair: AdversarialPosteriorPair, value: float) -> np.nda
     if value <= pair.b_t:
         f_val = norm_cdf((value - mu) / cond_sd)
         return f_val / r
-    log_sf_val = special.log_ndtr(-(value - mu) / cond_sd)
+    log_sf_val = scipy.special.log_ndtr(-(value - mu) / cond_sd)
     boosted_mass = (r - 1.0 + sf_cut) / r * (-np.expm1(log_sf_val - log_sf_cut))
     return (1.0 - sf_cut) / r + boosted_mass
 
@@ -318,7 +323,7 @@ def bucb_adversary_quantiles(
         while bucb_second_marginal_cdf(pair, lo) > gamma:
             lo -= width
             width *= 2.0
-    second = optimize.brentq(
+    second = scipy.optimize.brentq(
         lambda v: bucb_second_marginal_cdf(pair, v) - gamma,
         lo,
         hi,
@@ -371,6 +376,19 @@ class AdversarialEpisode:
     policy: str
 
 
+def episode_r(
+    policy: str, alpha: float, epsilon: float, gamma: float, r: float | None = None
+) -> float:
+    """The reweighting ratio an episode runs with: ``r`` when given (``r=1``
+    is the exact-inference control), else ``choose_r``'s midpoint, which
+    LinBUCB's quantile construction bounds below by ``1 / gamma``. The budget
+    is checked either way, so a control never records a bad one."""
+    if r is None:
+        return choose_r(alpha, epsilon, gamma if policy == "linbucb" else None)
+    check_budget(alpha, epsilon)
+    return r
+
+
 def run_adversarial_episode(
     policy: str,
     mu: tuple[float, float],
@@ -403,8 +421,7 @@ def run_adversarial_episode(
             s_bound=math.hypot(mu1, mu2),
             delta=0.05,
         )
-    if r is None:
-        r = choose_r(alpha, epsilon, gamma if policy == "linbucb" else None)
+    r = episode_r(policy, alpha, epsilon, gamma, r)
 
     arms = np.eye(2)
     theta = np.array([mu1, mu2])

@@ -71,6 +71,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_adversarial(args: argparse.Namespace) -> int:
+    # a bad budget leaves no directory, and an unusable directory runs no episode
+    r = adversarial.episode_r(
+        args.policy, args.alpha, args.epsilon, args.gamma, 1.0 if args.control else None
+    )
+    if args.output_dir:
+        harness.check_output_dir(args.output_dir)
     episodes = []
     for run_idx in range(args.runs):
         rng = np.random.default_rng(
@@ -85,7 +91,7 @@ def _cmd_adversarial(args: argparse.Namespace) -> int:
                 horizon=args.horizon,
                 rng=rng,
                 gamma=args.gamma,
-                r=1.0 if args.control else None,
+                r=r,
             )
         )
     finals = np.array([ep.trace.final for ep in episodes])
@@ -100,7 +106,6 @@ def _cmd_adversarial(args: argparse.Namespace) -> int:
         print(f"  worst per-step certified divergence: {worst:.6g} (budget {args.epsilon})")
 
     if args.output_dir:
-        harness.check_output_dir(args.output_dir)
         trace_path = os.path.join(args.output_dir, "adversarial_traces.csv")
         harness.write_traces_csv({label: [ep.trace for ep in episodes]}, trace_path)
         budget_path = os.path.join(args.output_dir, "adversarial_budget.csv")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from .linalg import ConfidenceParams, beta
 from .normal import norm_cdf, norm_ppf
@@ -306,7 +306,7 @@ def _quadrature(p1, p2, alpha: float, tolerance: float) -> tuple[float, float]:
             lb = other(x)
             return math.exp(la) * (la - lb)
 
-        val, err = integrate.quad(
+        val, err = scipy.integrate.quad(
             integrand, lo, hi, epsabs=tolerance, epsrel=1e-12, limit=300, points=pts or None
         )
         return val, err
@@ -314,7 +314,7 @@ def _quadrature(p1, p2, alpha: float, tolerance: float) -> tuple[float, float]:
     def integrand(x: float) -> float:
         return math.exp(alpha * log1(x) + (1.0 - alpha) * log2(x))
 
-    cross, err = integrate.quad(
+    cross, err = scipy.integrate.quad(
         integrand, lo, hi, epsabs=tolerance, epsrel=1e-12, limit=300, points=pts or None
     )
     denom = alpha * (alpha - 1.0)
@@ -463,7 +463,9 @@ def standard_normal_quantile_table(delta: float) -> float:
     return norm_ppf(1.0 - delta)
 
 
-DEFAULT_KAPPA1 = float(norm_cdf(-1.0))  # mass of N(0,1) beyond one sd
+# Mass of N(0,1) beyond one sd, norm_cdf(-1.0) written out (0x1.44ed0bb7cb20cp-3)
+# so that importing the package does not load scipy.special.
+DEFAULT_KAPPA1 = 0.15865525393145707
 
 
 @dataclass(frozen=True)

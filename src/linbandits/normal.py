@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
+import scipy
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -63,7 +63,7 @@ def norm_pdf(x):
 def norm_cdf(x):
     """Standard normal CDF, elementwise; erfc keeps tail accuracy."""
     x = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(-x / _SQRT2)
+    out = 0.5 * scipy.special.erfc(-x / _SQRT2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -116,7 +116,7 @@ def _ppf(p):
     pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
     safe = pdf > 1e-300
     if np.any(safe):
-        err = 0.5 * special.erfc(-z[safe] / _SQRT2) - q[safe]
+        err = 0.5 * scipy.special.erfc(-z[safe] / _SQRT2) - q[safe]
         u = err / pdf[safe]
         z[safe] = z[safe] - u / (1.0 + 0.5 * z[safe] * u)
     z = np.where(upper, -z, z)

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
+import scipy
 
 from .normal import norm_cdf, norm_ppf
 
@@ -63,7 +63,7 @@ def _checked(mean, scale, cov) -> tuple[np.ndarray, float, np.ndarray]:
     return mean, float(scale), cov
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPosterior:
     """Gaussian law ``N(mean, scale^2 * cov)``: the posterior the policies and
     adversaries sample, and the descriptor the divergence routes compare.
@@ -74,13 +74,14 @@ class GaussianPosterior:
     density needs are built on first use, so a policy step that only samples
     pays for none of them. Quantile selection needs no square root: it goes
     through the module-level ``best_quantile_arm``, which callers that never
-    sample use directly, without constructing this class.
+    sample use directly, without constructing this class. Laws compare and
+    hash by identity, so a law can key a dict.
     """
 
     mean: np.ndarray
     scale: float
     cov: np.ndarray
-    _sqrt: np.ndarray = field(init=False, repr=False, compare=False)
+    _sqrt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mean, scale, cov = _checked(self.mean, self.scale, self.cov)
@@ -165,7 +166,7 @@ class GaussianPosterior:
             z = (x - mu) / sd
             return -0.5 * (z * z) - 0.5 * self._logdet - _LOG_SQRT_2PI
         diff = np.atleast_2d(np.asarray(x, dtype=float)) - self.mean
-        sol = solve_triangular(self._chol, diff.T, lower=True, check_finite=False)
+        sol = scipy.linalg.solve_triangular(self._chol, diff.T, lower=True, check_finite=False)
         quad = np.sum(sol * sol, axis=0)
         return -0.5 * quad - 0.5 * self._logdet - self.dim * _LOG_SQRT_2PI
 

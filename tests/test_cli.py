@@ -210,6 +210,40 @@ def test_adversarial_budget_must_be_finite_and_feasible(tmp_path, capsys, policy
 
 
 @pytest.mark.parametrize(
+    "alpha,epsilon,detail",
+    [
+        ("nan", "0.1", "alpha must be finite, got nan"),
+        ("inf", "0.1", "alpha must be finite, got inf"),
+        ("2", "0", "epsilon must be positive"),
+    ],
+)
+def test_adversarial_control_checks_its_budget(tmp_path, capsys, alpha, epsilon, detail):
+    argv = ["adversarial", "--policy", "lints", "--alpha", alpha, "--epsilon", epsilon,
+            "--horizon", "20", "--control", "--output-dir", str(tmp_path / "adv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"linbandits adversarial: error: {detail}\n"
+    assert not os.path.exists(tmp_path / "adv")
+
+
+def test_adversarial_checks_the_output_dir_before_any_episode(tmp_path, capsys, monkeypatch):
+    def no_episode(**kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(adversarial, "run_adversarial_episode", no_episode)
+    taken = tmp_path / "adv"
+    taken.write_text("a file, not a directory\n")
+    argv = ["adversarial", "--policy", "lints", "--alpha", "2.0", "--epsilon", "0.1",
+            "--horizon", "20", "--output-dir", str(taken)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("linbandits adversarial: error: [Errno 17] File exists")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "line,detail",
     [
         ("lambda = -1", "lam must be a finite positive real"),

@@ -25,6 +25,7 @@ from linbandits.divergence import (
 from linbandits import verify
 from linbandits.posterior import GaussianPosterior
 from linbandits.linalg import ConfidenceParams
+from linbandits.normal import norm_cdf
 
 
 def test_identical_distributions_have_zero_divergence():
@@ -340,6 +341,11 @@ def test_bound_constants_monotone_structure():
     assert constants.c2p >= constants.c1p
     assert constants.c_hat2(0.05) >= constants.c_hat1(0.05)
     assert constants.kappa1 == pytest.approx(DEFAULT_KAPPA1)
+
+
+def test_default_kappa1_is_the_one_sd_tail_mass_bit_for_bit():
+    # written out as a literal so that import loads no scipy submodule
+    assert DEFAULT_KAPPA1.hex() == float(norm_cdf(-1.0)).hex() == "0x1.44ed0bb7cb20cp-3"
 
 
 # ---------------------------------------------------------------------------

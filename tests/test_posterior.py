@@ -85,6 +85,14 @@ def test_non_spd_covariance_fails_at_construction():
         GaussianPosterior(np.zeros(2), 1.0, np.array([1.0, 0.0]))
 
 
+def test_laws_compare_and_hash_by_identity():
+    law = GaussianPosterior(np.zeros(2), 1.0, np.eye(2))
+    twin = GaussianPosterior(law.mean, law.scale, law.cov)
+    assert law == law
+    assert law != twin
+    assert {law: "law", twin: "twin"}[law] == "law"
+
+
 def _quantile(post, arm, gamma):
     """The gamma-quantile score of one arm, through the (K, d) scorer."""
     return post.arm_value_quantiles(np.asarray(arm, dtype=float)[None], gamma)[0]

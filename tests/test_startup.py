@@ -1,0 +1,52 @@
+"""What importing the package, and a short run, load from SciPy.
+
+Short processes (one seed, one point of a sweep) pay for every module the
+package imports, so each SciPy submodule is loaded by the first call that
+uses it, not by ``import linbandits``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import linbandits
+from linbandits.harness import POLICY_NAMES, ExperimentConfig, save_config
+
+_SRC = os.path.dirname(os.path.dirname(linbandits.__file__))
+_HEAVY = {"scipy.linalg", "scipy.integrate", "scipy.optimize"}
+
+
+def _scipy_modules_after(code: str) -> set[str]:
+    """SciPy submodules in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    script = (
+        f"{code}\nimport sys, json\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_import_loads_no_scipy_submodule():
+    loaded = _scipy_modules_after("import linbandits, linbandits.cli")
+    assert not loaded & (_HEAVY | {"scipy.special", "scipy.sparse", "scipy.stats"})
+
+
+def test_run_loads_only_scipy_special(tmp_path):
+    path = str(tmp_path / "config.cfg")
+    save_config(
+        ExperimentConfig(
+            family="P3", dim=3, n_arms=4, horizon=20, n_runs=1, base_seed=0,
+            instance_seed=0, policies=POLICY_NAMES, output_dir=str(tmp_path / "out"),
+        ),
+        path,
+    )
+    loaded = _scipy_modules_after(
+        f"from linbandits.cli import main\nassert main(['run', {path!r}]) == 0"
+    )
+    assert "scipy.special" in loaded
+    assert not loaded & _HEAVY
