@@ -10,22 +10,28 @@ coordinates while keeping the divergence to it below a chosen budget:
   coordinate around the level-``gamma`` quantile of the first marginal, which
   it leaves exactly intact, so the worse arm's quantile index always wins.
 
-Episodes feed the reweighted law to the matching policy, account regret, and
-certify the per-step divergence numerically.
+Episodes step an exact-inference policy from ``algorithms``: the adversary
+reweights the law ``algorithms.posterior_params`` describes, the policy picks
+its arm from that reweighting, and the reward goes in through
+``algorithms.update``. Each step's divergence is certified numerically.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy
 
+from . import algorithms
+from .algorithms import Inference, Kind, PolicyConfig
 from .environments import RegretTrace
-from .linalg import ConfidenceParams, beta, rls_init, rls_update
+from .linalg import ConfidenceParams
+# Not called here: perfbench/tracer.py patches these two names on this module.
+from .linalg import beta, rls_update  # noqa: F401
 from .normal import norm_cdf, norm_pdf, norm_ppf
 from .posterior import GaussianPosterior
 
@@ -381,11 +387,16 @@ def episode_r(
 ) -> float:
     """The reweighting ratio an episode runs with: ``r`` when given (``r=1``
     is the exact-inference control), else ``choose_r``'s midpoint, which
-    LinBUCB's quantile construction bounds below by ``1 / gamma``. The budget
-    is checked either way, so a control never records a bad one."""
+    LinBUCB's quantile construction bounds below by ``1 / gamma``. A given
+    ``r`` must be finite and at least 1. The budget is checked either way, so
+    a control never records a bad one."""
     if r is None:
         return choose_r(alpha, epsilon, gamma if policy == "linbucb" else None)
     check_budget(alpha, epsilon)
+    if not math.isfinite(r):
+        raise ValueError(f"reweighting factor must be finite, got {r}")
+    if r < 1.0:
+        raise ValueError("reweighting factor must be at least 1")
     return r
 
 
@@ -422,47 +433,45 @@ def run_adversarial_episode(
             delta=0.05,
         )
     r = episode_r(policy, alpha, epsilon, gamma, r)
+    config = PolicyConfig(
+        kind=Kind(policy),
+        inference=Inference.EXACT,
+        confidence=confidence,
+        horizon=horizon,
+        gamma=gamma,
+    )
+    state = algorithms.init_policy(config, 2)
 
     arms = np.eye(2)
     theta = np.array([mu1, mu2])
-    state = rls_init(2, confidence.lam)
     gap = mu1 - mu2
-
-    if policy == "lints":
-        confidence = replace(confidence, delta=confidence.delta / (4.0 * horizon))
-
     inst = np.zeros(horizon)
     divs = np.zeros(horizon)
     chosen = np.zeros(horizon, dtype=np.int64)
     for t in range(horizon):
-        scale = beta(confidence, state.step, 2)
-        pi = GaussianPosterior(state.estimate, scale, state.design_inv)
-
-        if policy == "lints":
-            if r > 1.0:
+        if r == 1.0:
+            idx = algorithms.select_arm(state, config, arms, rng)
+        else:
+            pi = GaussianPosterior(*algorithms.posterior_params(state, config, 2))
+            if policy == "lints":
                 pair = wrap_ts(pi, r)
                 draw = ts_adversary_sample(pair, rng)
                 if certify:
                     divs[t] = ts_divergence(pair, alpha)[0]
+                idx = 0 if draw[0] >= draw[1] else 1
             else:
-                draw = pi.sample(1, rng)[0]
-            idx = 0 if draw[0] >= draw[1] else 1
-        else:
-            if r > 1.0:
                 pair = wrap_bucb(pi, r, gamma)
                 q1, q2 = bucb_adversary_quantiles(pair, gamma)
                 if certify:
                     divs[t] = bucb_divergence(pair, alpha)[0]
-            else:
-                q1, q2 = pi.arm_value_quantiles(arms, gamma)
-            idx = 0 if q1 >= q2 else 1
+                idx = 0 if q1 >= q2 else 1
 
         chosen[t] = idx
         inst[t] = 0.0 if idx == 0 else gap
         observed = float(theta[idx])
         if noise_sd > 0.0:
             observed += noise_sd * float(rng.standard_normal())
-        state = rls_update(state, arms[idx], observed)
+        state = algorithms.update(state, config, arms[idx], observed)
 
     return AdversarialEpisode(
         trace=RegretTrace.from_instantaneous(inst),

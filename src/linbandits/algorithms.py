@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +78,6 @@ class PolicyConfig:
     approx_mode: EstimateMode = EstimateMode.MEAN_AND_COV
     scale_mode: ScaleMode = ScaleMode.CONFIDENCE_RADIUS
     kappa: float | None = None
-    label: str | None = None
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -95,10 +95,14 @@ class PolicyConfig:
 
     @property
     def name(self) -> str:
-        if self.label is not None:
-            return self.label
         suffix = "" if self.inference is Inference.EXACT else "_approx"
         return f"{self.kind.value}{suffix}"
+
+    @cached_property
+    def sampling_confidence(self) -> ConfidenceParams:
+        """``confidence`` at the inflated union level ``delta / (4 T)`` that
+        sampling selection scales its posterior by."""
+        return replace(self.confidence, delta=self.confidence.delta / (4.0 * self.horizon))
 
 
 @dataclass(frozen=True)
@@ -120,24 +124,22 @@ def init_policy(config: PolicyConfig, dim: int) -> PolicyState:
     if config.inference is Inference.EXACT:
         return PolicyState(step=0, rls=rls_init(dim, lam))
     if config.approx_mode is EstimateMode.MEAN_AND_COV:
-        return PolicyState(step=0, diag=diag_init(dim, lam, config.approx_mode))
-    return PolicyState(
-        step=0, rls=rls_init(dim, lam), diag=diag_init(dim, lam, config.approx_mode)
-    )
+        return PolicyState(step=0, diag=diag_init(dim, lam))
+    return PolicyState(step=0, rls=rls_init(dim, lam), diag=diag_init(dim, lam))
 
 
-def _posterior_params(
+def posterior_params(
     state: PolicyState, config: PolicyConfig, dim: int
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """``(mean, scale, cov)`` of the posterior law the policy selects from;
-    ``cov`` is the design inverse or its diagonal."""
-    conf = config.confidence
+    ``cov`` is the design inverse or its diagonal. The budgeted adversaries
+    reweight exactly this law."""
     if config.scale_mode is ScaleMode.UNIT:
         scale = 1.0
     elif config.kind is Kind.LINTS:
-        scale = beta(replace(conf, delta=conf.delta / (4.0 * config.horizon)), state.step, dim)
+        scale = beta(config.sampling_confidence, state.step, dim)
     else:
-        scale = beta(conf, state.step, dim)
+        scale = beta(config.confidence, state.step, dim)
 
     if config.inference is Inference.EXACT:
         assert state.rls is not None
@@ -167,7 +169,7 @@ def select_arm(
     arm_matrix = np.asarray(arms, dtype=float)
     if arm_matrix.ndim != 2 or arm_matrix.shape[0] == 0:
         raise ValueError("arms must be a non-empty (K, d) collection")
-    mean, scale, cov = _posterior_params(state, config, arm_matrix.shape[1])
+    mean, scale, cov = posterior_params(state, config, arm_matrix.shape[1])
     if config.kind is Kind.LINTS:
         theta = GaussianPosterior(mean, scale, cov).sample(1, rng)[0]
         return int(np.argmax(arm_matrix @ theta))

@@ -148,21 +148,6 @@ def two_region_reweight(
     return ReweightedGaussian1D(base_mean, base_sd, [cut], [lower_weight, upper_weight])
 
 
-@dataclass(frozen=True)
-class SampledDensity:
-    """Black-box descriptor: a sampler plus a log-density evaluator."""
-
-    draw: Callable[[int, np.random.Generator], np.ndarray]
-    log_density: Callable[[np.ndarray], np.ndarray]
-    dim: int = 1
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.atleast_2d(self.draw(n, rng))
-
-    def logpdf(self, x) -> np.ndarray:
-        return np.asarray(self.log_density(x), dtype=float).reshape(-1)
-
-
 def _base_of(p) -> tuple[float, float]:
     if isinstance(p, ReweightedGaussian1D):
         return p.base_mean, p.base_sd

@@ -101,15 +101,6 @@ def reward(instance: BanditInstance, arm, rng: np.random.Generator) -> float:
     return value + instance.noise_sd * float(rng.standard_normal())
 
 
-def step_regret(instance: BanditInstance, arms, chosen: int) -> float:
-    """Expected-reward gap between the best available arm and the chosen one."""
-    a = np.asarray(arms, dtype=float)
-    values = a @ instance.theta_star
-    if not 0 <= chosen < values.shape[0]:
-        raise ValueError("chosen index out of range")
-    return float(np.max(values) - values[chosen])
-
-
 @dataclass(frozen=True)
 class RegretTrace:
     """Per-step and running cumulative regret for one run."""

@@ -22,7 +22,14 @@ import numpy as np
 
 from . import algorithms
 from .algorithms import Inference, Kind, PolicyConfig, ScaleMode
-from .environments import BanditInstance, RegretTrace, make_instance, sample_arm_set
+from .environments import (
+    ARM_SCALINGS,
+    FAMILIES,
+    BanditInstance,
+    RegretTrace,
+    make_instance,
+    sample_arm_set,
+)
 from .linalg import ConfidenceParams, EstimateMode
 from .svgplot import LinePlot
 
@@ -58,7 +65,7 @@ class ExperimentConfig:
     gamma_grid: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in ("P1", "P2", "P3", "custom"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         for name in ("dim", "n_arms", "horizon", "n_runs"):
             if getattr(self, name) < 1:
@@ -89,7 +96,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown policy {p!r}; valid: {POLICY_NAMES}")
         if len(set(self.policies)) != len(self.policies):
             raise ValueError("policies must be distinct")
-        if self.arm_scaling not in ("ball", "sphere"):
+        if self.arm_scaling not in ARM_SCALINGS:
             raise ValueError("arm_scaling must be 'ball' or 'sphere'")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
@@ -167,7 +174,6 @@ class ExperimentConfig:
                     gamma=g if kind is Kind.LINBUCB else None,
                     approx_mode=EstimateMode(self.approx_mode),
                     scale_mode=self._scale_mode(kind),
-                    label=name,
                 )
             )
         return out

@@ -67,7 +67,6 @@ class RlsState:
     """Ridge regression state after ``step`` absorbed (arm, reward) pairs."""
 
     dim: int
-    lam: float
     step: int
     design: np.ndarray
     design_inv: np.ndarray
@@ -84,7 +83,6 @@ def rls_init(dim: int, lam: float) -> RlsState:
     eye = np.eye(dim)
     return RlsState(
         dim=dim,
-        lam=float(lam),
         step=0,
         design=lam * eye,
         design_inv=eye / lam,
@@ -120,7 +118,6 @@ def rls_update(state: RlsState, arm, reward: float) -> RlsState:
     moment = state.moment + r * x
     return RlsState(
         dim=state.dim,
-        lam=state.lam,
         step=step,
         design=design,
         design_inv=design_inv,
@@ -146,12 +143,10 @@ class DiagonalApproxState:
     """
 
     dim: int
-    lam: float
     step: int
     diag: np.ndarray
     diag_inv: np.ndarray
     moment: np.ndarray
-    estimate_mode: EstimateMode = EstimateMode.MEAN_AND_COV
 
     @property
     def estimate(self) -> np.ndarray:
@@ -159,22 +154,14 @@ class DiagonalApproxState:
         return self.diag_inv * self.moment
 
 
-def diag_init(
-    dim: int, lam: float, estimate_mode: EstimateMode = EstimateMode.MEAN_AND_COV
-) -> DiagonalApproxState:
+def diag_init(dim: int, lam: float) -> DiagonalApproxState:
     if dim < 1:
         raise ValueError("dim must be a positive integer")
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lam must be a finite positive real")
     diag = np.full(dim, float(lam))
     return DiagonalApproxState(
-        dim=dim,
-        lam=float(lam),
-        step=0,
-        diag=diag,
-        diag_inv=1.0 / diag,
-        moment=np.zeros(dim),
-        estimate_mode=EstimateMode(estimate_mode),
+        dim=dim, step=0, diag=diag, diag_inv=1.0 / diag, moment=np.zeros(dim)
     )
 
 
@@ -185,12 +172,10 @@ def diag_update(state: DiagonalApproxState, arm, reward: float) -> DiagonalAppro
     diag = state.diag + x * x
     return DiagonalApproxState(
         dim=state.dim,
-        lam=state.lam,
         step=state.step + 1,
         diag=diag,
         diag_inv=1.0 / diag,
         moment=state.moment + r * x,
-        estimate_mode=state.estimate_mode,
     )
 
 
@@ -209,25 +194,3 @@ def beta(params: ConfidenceParams, step: int, dim: int) -> float:
     )
     return params.nu * math.sqrt(2.0 * log_term) + math.sqrt(params.lam) * params.s_bound
 
-
-def weighted_norm(weight, x) -> float:
-    """Weighted L2 norm ``sqrt(x^T W x)`` for a full or diagonal weight ``W``.
-
-    ``weight`` is the matrix that defines the norm (typically the maintained
-    design inverse), given as a (d, d) array or as its diagonal.
-    """
-    v = _as_vector(x, None, "x")
-    w = np.asarray(weight, dtype=float)
-    if w.ndim == 1:
-        if w.shape[0] != v.shape[0]:
-            raise ValueError("diagonal weight and x have mismatched dimensions")
-        q = float(np.sum(w * v * v))
-    elif w.ndim == 2:
-        if w.shape != (v.shape[0], v.shape[0]):
-            raise ValueError("weight matrix and x have mismatched dimensions")
-        q = float(v @ w @ v)
-    else:
-        raise ValueError("weight must be a matrix or a diagonal vector")
-    if q < -1e-10:
-        raise ValueError("weight is not positive semi-definite on this input")
-    return math.sqrt(max(q, 0.0))

@@ -21,9 +21,10 @@ from linbandits.harness import (
     save_config,
     sensitivity_sweep,
 )
-from linbandits.linalg import rls_init, rls_update, weighted_norm
+from linbandits.linalg import rls_init, rls_update
 from linbandits.posterior import GaussianPosterior
 from linbandits.verify import run_suite
+from reference import weighted_norm
 
 POLICIES = ("lints", "lints_approx", "linbucb", "linbucb_approx")
 SUBLINEAR_RATIO = 0.6

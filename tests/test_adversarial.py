@@ -231,6 +231,17 @@ def test_short_episodes():
         run_adversarial_episode("ucb", (1.0, 0.0), 2.0, 0.1, 10, rng)
 
 
+@pytest.mark.parametrize("r", [0.5, 0.0, -2.0, math.nan, math.inf, -math.inf])
+def test_given_reweighting_factor_must_be_finite_and_at_least_one(r):
+    with pytest.raises(ValueError, match="reweighting factor must be"):
+        adversarial.episode_r("lints", 2.0, 0.1, 0.9, r)
+    for policy in ("lints", "linbucb"):
+        with pytest.raises(ValueError, match="reweighting factor must be"):
+            run_adversarial_episode(
+                policy, (1.0, 0.0), 2.0, 0.1, 5, np.random.default_rng(0), r=r
+            )
+
+
 # SHA-256 of the choices, certificates and cumulative regret of short
 # certified episodes (alpha=2, epsilon=0.1, T=300), recorded before the
 # per-pair node cache, the memoised quantile and the float density path went

@@ -78,7 +78,6 @@ def test_linbucb_quantile_scores_worked_example():
         step=0,
         rls=RlsState(
             dim=2,
-            lam=1.0,
             step=0,
             design=eye,
             design_inv=eye,
@@ -190,7 +189,6 @@ def test_sampling_selection_frequencies_match_dense_integration():
         step=0,
         rls=RlsState(
             dim=2,
-            lam=1.0,
             step=0,
             design=np.linalg.inv(cov),
             design_inv=cov,

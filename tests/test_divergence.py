@@ -9,7 +9,6 @@ from linbandits.divergence import (
     DEFAULT_KAPPA1,
     Method,
     ReweightedGaussian1D,
-    SampledDensity,
     alpha_divergence,
     degrade_anti_concentration,
     degrade_concentration_type1,
@@ -162,19 +161,6 @@ def test_monte_carlo_tracks_closed_form():
         exact = alpha_divergence(g1, g2, alpha)
         mc = alpha_divergence(g1, g2, alpha, Method.MONTE_CARLO, rng=rng, mc_samples=200_000)
         assert abs(mc.value - exact.value) < 3 * mc.error_estimate
-
-
-def test_sampled_density_descriptor_runs_monte_carlo():
-    rng = np.random.default_rng(4)
-    p1 = SampledDensity(
-        draw=lambda n, r: r.standard_normal((n, 1)),
-        log_density=lambda x: st.norm.logpdf(np.asarray(x)).reshape(-1),
-    )
-    g2 = GaussianPosterior([0.4], 1.0, [[1.0]])
-    res = alpha_divergence(p1, g2, 2.0, Method.MONTE_CARLO, rng=rng, mc_samples=100_000)
-    exact = (math.exp(2.0 * 0.4**2 / 2.0 * 1.0 * 2.0 / 2.0) - 1.0) / 2.0
-    exact = (math.exp(2.0 * 1.0 * 0.4**2 / 2.0) - 1.0) / 2.0
-    assert abs(res.value - exact) < 3 * res.error_estimate
 
 
 def test_reweighted_descriptor_is_normalized_and_invertible():

@@ -9,7 +9,6 @@ from linbandits.environments import (
     make_instance,
     reward,
     sample_arm_set,
-    step_regret,
     sublinearity_ratio,
 )
 
@@ -81,17 +80,6 @@ def test_reward_noiseless_and_noisy():
     draws = np.array([reward(noisy, arm, rng) for _ in range(100_000)])
     assert abs(draws.mean() - target) < 3 * 0.5 / math.sqrt(draws.size)
     assert draws.std() == pytest.approx(0.5, rel=0.02)
-
-
-def test_step_regret_examples():
-    inst = make_instance("custom", 2, 2, theta=[1.0, 0.5])
-    arms = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert step_regret(inst, arms, 0) == pytest.approx(0.0)
-    assert step_regret(inst, arms, 1) == pytest.approx(0.5)
-    shuffled = np.array([[0.3, 0.3], [1.0, 0.0], [0.0, 1.0]])
-    assert step_regret(inst, shuffled, 2) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        step_regret(inst, arms, 5)
 
 
 def test_regret_trace_invariants():

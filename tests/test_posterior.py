@@ -8,7 +8,6 @@ from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
 from linbandits import posterior
-from linbandits.linalg import weighted_norm
 from linbandits.normal import norm_cdf, norm_ppf
 from linbandits.posterior import (
     GaussianPosterior,
@@ -18,6 +17,7 @@ from linbandits.posterior import (
     certify_well_behaved,
     standard_normal_sampler,
 )
+from reference import weighted_norm
 
 
 def test_norm_ppf_matches_reference_within_1e9():
