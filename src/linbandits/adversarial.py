@@ -13,7 +13,10 @@ coordinates while keeping the divergence to it below a chosen budget:
 Episodes step an exact-inference policy from ``algorithms``: the adversary
 reweights the law ``algorithms.posterior_params`` describes, the policy picks
 its arm from that reweighting, and the reward goes in through
-``algorithms.update``. Each step's divergence is certified numerically.
+``algorithms.update``. The quantile adversary's pick needs no quantile: the
+first quantile is the cut itself, so one reweighted CDF value at the cut
+ranks the two (``bucb_adversary_choice``). Each step's divergence is
+certified numerically.
 """
 
 from __future__ import annotations
@@ -296,20 +299,53 @@ def bucb_second_marginal_cdf(pair: AdversarialPosteriorPair, value: float) -> fl
     return float(np.dot(_GH_W, _bucb_cdf_from_nodes(pair, value)) * _GH_NORM)
 
 
+def _check_bucb_level(pair: AdversarialPosteriorPair, gamma: float) -> None:
+    if pair.construction is not Construction.BUCB_CONDITIONAL_REWEIGHT:
+        raise ValueError("pair was not built for the quantile adversary")
+    if abs(gamma - pair.gamma) > 1e-12:
+        raise ValueError("gamma must match the construction level")
+
+
+def bucb_adversary_choice(pair: AdversarialPosteriorPair, gamma: float) -> int:
+    """The arm whose level-``gamma`` quantile under the reweighted law is the
+    larger, ties to arm 0: the comparison of ``bucb_adversary_quantiles``
+    without finding the second quantile.
+
+    The first quantile is the cut ``b`` exactly, and the reweighted second
+    marginal ``F2`` is continuous and nondecreasing, so ``q1 >= q2`` holds
+    exactly when ``F2(b) >= gamma``: one CDF value at the cut decides.
+
+    The root-found reference agrees. When ``F2(b) >= gamma`` it brackets the
+    root in ``[., b]`` and cannot return more than ``b``. Otherwise the true
+    quantile lies strictly above ``b``, and ``brentq`` could return ``b``
+    itself only if the root sat within its ``xtol`` (about
+    ``1e-14 * max(|b|, sd2, 1)``) of ``b``. ``F2`` would then have to climb
+    from ``F2(b) <= 1/r`` to ``gamma`` over that width. Just above the cut it
+    climbs at about ``(1 - 1/r) z / sd`` per unit, for a conditional sd
+    ``sd`` and a cut ``z`` such sds above the conditional mean. With the
+    factor ``choose_r`` picks (``gamma - 1/r`` is 0.035 at alpha=2,
+    epsilon=0.1, gamma=0.9) that takes ``sd`` near ``1e-7``, or about
+    ``1e14`` pulls of the second arm. A given ``r`` just above ``1/gamma``
+    narrows the margin; the tests replay whole episodes and compare every
+    step.
+    """
+    _check_bucb_level(pair, gamma)
+    return 0 if bucb_second_marginal_cdf(pair, pair.b_t) >= gamma else 1
+
+
 def bucb_adversary_quantiles(
     pair: AdversarialPosteriorPair, gamma: float
 ) -> tuple[float, float]:
-    """Quantiles of the two arm values under the reweighted law.
+    """Quantiles of the two arm values under the reweighted law; the
+    reference the episode's choice (``bucb_adversary_choice``) is tested
+    against.
 
     The first marginal is preserved by construction, so the first quantile is
     the recorded cut exactly; the second is root-found on the reweighted
     marginal CDF (above the cut whenever the squashed mass stays below gamma,
     which the feasible reweighting factor guarantees).
     """
-    if pair.construction is not Construction.BUCB_CONDITIONAL_REWEIGHT:
-        raise ValueError("pair was not built for the quantile adversary")
-    if abs(gamma - pair.gamma) > 1e-12:
-        raise ValueError("gamma must match the construction level")
+    _check_bucb_level(pair, gamma)
     _, cov = pair.moments()
     _, m2, sd1, slope, cond_sd = pair.conditional_law
     sd2 = math.sqrt(float(cov[1, 1]))
@@ -382,14 +418,37 @@ class AdversarialEpisode:
     policy: str
 
 
-def episode_r(
-    policy: str, alpha: float, epsilon: float, gamma: float, r: float | None = None
+def check_episode(
+    policy: str,
+    mu: tuple[float, float],
+    alpha: float,
+    epsilon: float,
+    gamma: float,
+    r: float | None = None,
+    noise_sd: float = 0.5,
 ) -> float:
-    """The reweighting ratio an episode runs with: ``r`` when given (``r=1``
-    is the exact-inference control), else ``choose_r``'s midpoint, which
-    LinBUCB's quantile construction bounds below by ``1 / gamma``. A given
-    ``r`` must be finite and at least 1. The budget is checked either way, so
-    a control never records a bad one."""
+    """Reject an episode's inputs before any work runs, and return the
+    reweighting ratio it runs with.
+
+    The instance needs a strictly better first arm and arm means of finite
+    norm (the norm bound of the confidence radius), the noise a finite sd
+    ``>= 0``, and LinBUCB a level ``gamma`` in (0, 1), the control included.
+    The ratio is ``r`` when given (``r=1`` is the exact-inference control),
+    else ``choose_r``'s midpoint, which LinBUCB's quantile construction
+    bounds below by ``1 / gamma``. A given ``r`` must be finite and at least
+    1. The budget is checked either way, so a control never records a bad
+    one."""
+    if policy not in ("lints", "linbucb"):
+        raise ValueError("policy must be 'lints' or 'linbucb'")
+    mu1, mu2 = float(mu[0]), float(mu[1])
+    if not math.isfinite(math.hypot(mu1, mu2)):
+        raise ValueError(f"arm means must have a finite norm, got ({mu1}, {mu2})")
+    if not mu1 > mu2:
+        raise ValueError("the first arm must be strictly better")
+    if not (noise_sd >= 0.0 and math.isfinite(noise_sd)):
+        raise ValueError(f"noise_sd must be finite and non-negative, got {noise_sd}")
+    if policy == "linbucb" and not (0.0 < gamma < 1.0):
+        raise ValueError("gamma must lie in (0, 1)")
     if r is None:
         return choose_r(alpha, epsilon, gamma if policy == "linbucb" else None)
     check_budget(alpha, epsilon)
@@ -417,14 +476,14 @@ def run_adversarial_episode(
     two-arm instance with ground truth ``mu``.
 
     ``r=1`` is the exact-inference control (no reweighting, zero budget).
-    The per-step certificate is the quadrature divergence between the exact
-    posterior and its reweighting; disable with ``certify=False``.
+    The inputs go through ``check_episode`` first. LinTS picks the larger
+    coordinate of one draw from the region reweighting; LinBUCB picks the
+    larger reweighted quantile with ``bucb_adversary_choice``, one CDF value
+    per step. The per-step certificate is the quadrature divergence between
+    the exact posterior and its reweighting; disable with ``certify=False``.
     """
-    if policy not in ("lints", "linbucb"):
-        raise ValueError("policy must be 'lints' or 'linbucb'")
+    r = check_episode(policy, mu, alpha, epsilon, gamma, r, noise_sd)
     mu1, mu2 = float(mu[0]), float(mu[1])
-    if not mu1 > mu2:
-        raise ValueError("the first arm must be strictly better")
     if confidence is None:
         confidence = ConfidenceParams(
             nu=noise_sd if noise_sd > 0 else 0.5,
@@ -432,7 +491,6 @@ def run_adversarial_episode(
             s_bound=math.hypot(mu1, mu2),
             delta=0.05,
         )
-    r = episode_r(policy, alpha, epsilon, gamma, r)
     config = PolicyConfig(
         kind=Kind(policy),
         inference=Inference.EXACT,
@@ -461,10 +519,9 @@ def run_adversarial_episode(
                 idx = 0 if draw[0] >= draw[1] else 1
             else:
                 pair = wrap_bucb(pi, r, gamma)
-                q1, q2 = bucb_adversary_quantiles(pair, gamma)
+                idx = bucb_adversary_choice(pair, gamma)
                 if certify:
                     divs[t] = bucb_divergence(pair, alpha)[0]
-                idx = 0 if q1 >= q2 else 1
 
         chosen[t] = idx
         inst[t] = 0.0 if idx == 0 else gap

@@ -71,9 +71,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_adversarial(args: argparse.Namespace) -> int:
-    # a bad budget leaves no directory, and an unusable directory runs no episode
-    r = adversarial.episode_r(
-        args.policy, args.alpha, args.epsilon, args.gamma, 1.0 if args.control else None
+    # bad inputs leave no directory, and an unusable directory runs no episode
+    r = adversarial.check_episode(
+        args.policy, (args.mu1, args.mu2), args.alpha, args.epsilon, args.gamma,
+        1.0 if args.control else None,
     )
     if args.output_dir:
         harness.check_output_dir(args.output_dir)

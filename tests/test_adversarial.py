@@ -10,6 +10,7 @@ from linbandits import adversarial
 from linbandits.adversarial import (
     Construction,
     analytic_budget_bound,
+    bucb_adversary_choice,
     bucb_adversary_quantiles,
     bucb_divergence,
     bucb_second_marginal_cdf,
@@ -195,6 +196,68 @@ def test_bucb_deep_tail_quantile_stays_above_cut():
     assert q2 > q1
 
 
+def _quantile_choice(pair, gamma) -> int:
+    q1, q2 = bucb_adversary_quantiles(pair, gamma)
+    return 0 if q1 >= q2 else 1
+
+
+@pytest.mark.parametrize("gamma,r", [(0.85, None), (0.9, None), (0.9, 1.05)])
+def test_bucb_choice_matches_the_quantile_comparison_over_episodes(monkeypatch, gamma, r):
+    # r=None is the certified adversary (arm 1 at every step); r=1.05 sits
+    # below 1/gamma, so the reweighted CDF at the cut crosses gamma and both
+    # arms are chosen, some steps within 1e-5 of the level
+    chosen = []
+
+    def checked(pair, level):
+        idx = bucb_adversary_choice(pair, level)
+        assert idx == _quantile_choice(pair, level)
+        chosen.append(idx)
+        return idx
+
+    monkeypatch.setattr(adversarial, "bucb_adversary_choice", checked)
+    for seed in (0, 1, 2):
+        run_adversarial_episode(
+            "linbucb", (1.0, 0.0), 2.0, 0.1, 2000, np.random.default_rng(seed),
+            gamma=gamma, r=r, certify=False,
+        )
+    assert len(chosen) == 3 * 2000
+    assert set(chosen) == ({1} if r is None else {0, 1})
+
+
+def test_bucb_choice_when_the_cut_already_holds_the_level():
+    # 1/r > gamma and the second coordinate sits far below the cut, so
+    # F2(b) >= gamma: the reference brackets its root below the cut
+    pi = _posterior(mean=(0.0, -3.0))
+    pair = wrap_bucb(pi, 1.05, 0.9)
+    assert bucb_second_marginal_cdf(pair, pair.b_t) >= 0.9
+    q1, q2 = bucb_adversary_quantiles(pair, 0.9)
+    assert q2 < q1 == pair.b_t
+    assert bucb_adversary_choice(pair, 0.9) == 0
+
+    above = wrap_bucb(_posterior(mean=(0.0, 3.0)), 1.05, 0.9)
+    assert bucb_second_marginal_cdf(above, above.b_t) < 0.9
+    assert bucb_adversary_choice(above, 0.9) == _quantile_choice(above, 0.9) == 1
+    with pytest.raises(ValueError, match="gamma must match"):
+        bucb_adversary_choice(pair, 0.8)
+    with pytest.raises(ValueError, match="quantile adversary"):
+        bucb_adversary_choice(wrap_ts(pi, 1.05), 0.9)
+
+
+def test_bucb_choice_reads_the_cut_once_and_ties_to_the_first_arm(monkeypatch):
+    pair = wrap_bucb(_posterior(mean=(0.8, 0.1), cov=[[0.5, 0.1], [0.1, 0.7]]), 1.2, 0.9)
+    evaluated = []
+
+    def level_at_cut(p, value):
+        # continuous and nondecreasing, exactly gamma at the cut
+        evaluated.append(value)
+        return min(max(0.9 + 0.1 * (value - p.b_t), 0.0), 1.0)
+
+    monkeypatch.setattr(adversarial, "bucb_second_marginal_cdf", level_at_cut)
+    assert bucb_adversary_choice(pair, 0.9) == 0
+    assert evaluated == [pair.b_t]
+    assert bucb_adversary_quantiles(pair, 0.9) == (pair.b_t, pair.b_t)
+
+
 def test_wrap_validation():
     pi = _posterior()
     with pytest.raises(ValueError):
@@ -231,10 +294,43 @@ def test_short_episodes():
         run_adversarial_episode("ucb", (1.0, 0.0), 2.0, 0.1, 10, rng)
 
 
+def test_noiseless_episode_observes_the_arm_means():
+    ep = run_adversarial_episode(
+        "linbucb", (1.0, 0.0), 2.0, 0.1, 20, np.random.default_rng(0), noise_sd=0.0
+    )
+    assert ep.trace.final == pytest.approx(20.0)
+
+
+@pytest.mark.parametrize(
+    "policy,mu,gamma,noise_sd,detail",
+    [
+        ("lints", (1.0, 1.0), 0.9, 0.5, "the first arm must be strictly better"),
+        ("lints", (math.inf, 0.0), 0.9, 0.5, "arm means must have a finite norm"),
+        ("linbucb", (1.0, math.nan), 0.9, 0.5, "arm means must have a finite norm"),
+        ("lints", (1.5e308, -1.5e308), 0.9, 0.5, "arm means must have a finite norm"),
+        ("linbucb", (1.0, 0.0), 1.5, 0.5, "gamma must lie in"),
+        ("linbucb", (1.0, 0.0), math.nan, 0.5, "gamma must lie in"),
+        ("lints", (1.0, 0.0), 0.9, -1.0, "noise_sd must be finite and non-negative"),
+        ("linbucb", (1.0, 0.0), 0.9, -1e-300, "noise_sd must be finite and non-negative"),
+        ("lints", (1.0, 0.0), 0.9, math.nan, "noise_sd must be finite and non-negative"),
+        ("linbucb", (1.0, 0.0), 0.9, math.inf, "noise_sd must be finite and non-negative"),
+    ],
+)
+def test_episode_inputs_are_checked_before_any_step(policy, mu, gamma, noise_sd, detail):
+    for r in (None, 1.0):
+        with pytest.raises(ValueError, match=detail):
+            adversarial.check_episode(policy, mu, 2.0, 0.1, gamma, r, noise_sd)
+        with pytest.raises(ValueError, match=detail):
+            run_adversarial_episode(
+                policy, mu, 2.0, 0.1, 5, np.random.default_rng(0), gamma=gamma, r=r,
+                noise_sd=noise_sd,
+            )
+
+
 @pytest.mark.parametrize("r", [0.5, 0.0, -2.0, math.nan, math.inf, -math.inf])
 def test_given_reweighting_factor_must_be_finite_and_at_least_one(r):
     with pytest.raises(ValueError, match="reweighting factor must be"):
-        adversarial.episode_r("lints", 2.0, 0.1, 0.9, r)
+        adversarial.check_episode("lints", (1.0, 0.0), 2.0, 0.1, 0.9, r)
     for policy in ("lints", "linbucb"):
         with pytest.raises(ValueError, match="reweighting factor must be"):
             run_adversarial_episode(

@@ -227,6 +227,25 @@ def test_adversarial_control_checks_its_budget(tmp_path, capsys, alpha, epsilon,
     assert not os.path.exists(tmp_path / "adv")
 
 
+@pytest.mark.parametrize(
+    "extra,detail",
+    [
+        (["--mu1", "0", "--mu2", "1"], "the first arm must be strictly better"),
+        (["--mu1", "inf"], "arm means must have a finite norm, got (inf, 0.0)"),
+        (["--policy", "linbucb", "--control", "--gamma", "1.5"], "gamma must lie in (0, 1)"),
+    ],
+)
+def test_adversarial_instance_and_gamma_fail_before_the_output_dir(tmp_path, capsys, extra,
+                                                                   detail):
+    argv = ["adversarial", "--policy", "lints", "--alpha", "2.0", "--epsilon", "0.1",
+            "--horizon", "20", "--output-dir", str(tmp_path / "adv"), *extra]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"linbandits adversarial: error: {detail}\n"
+    assert not os.path.exists(tmp_path / "adv")
+
+
 def test_adversarial_checks_the_output_dir_before_any_episode(tmp_path, capsys, monkeypatch):
     def no_episode(**kwargs):
         raise AssertionError("an episode ran")

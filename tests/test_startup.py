@@ -50,3 +50,13 @@ def test_run_loads_only_scipy_special(tmp_path):
     )
     assert "scipy.special" in loaded
     assert not loaded & _HEAVY
+
+
+def test_linbucb_adversary_loads_only_scipy_special():
+    loaded = _scipy_modules_after(
+        "from linbandits.cli import main\n"
+        "assert main(['adversarial', '--policy', 'linbucb', '--alpha', '2',"
+        " '--epsilon', '0.1', '--horizon', '20']) == 0"
+    )
+    assert "scipy.special" in loaded
+    assert not loaded & (_HEAVY | {"scipy.sparse"})

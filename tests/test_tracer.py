@@ -37,3 +37,16 @@ def test_recorder_installs_and_uninstalls_on_the_package():
     stats = recorder.span_stats()
     for span in ("algorithms.select_arm", "algorithms.update", "linalg.rls_update", "linalg.beta"):
         assert stats[span]["calls"] == 5, span
+
+
+def test_linbucb_adversary_reads_one_cdf_value_per_step():
+    recorder = _recorder()
+    try:
+        recorder.install()
+        run_adversarial_episode("linbucb", (1.0, 0.0), 2.0, 0.1, 5, np.random.default_rng(0))
+    finally:
+        recorder.uninstall()
+    assert recorder.counts["adversarial.bucb_second_marginal_cdf"] == 5
+    stats = recorder.span_stats()
+    assert stats["adversarial.bucb_divergence"]["calls"] == 5
+    assert "adversarial.bucb_adversary_quantiles" not in stats
