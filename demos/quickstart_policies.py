@@ -67,5 +67,5 @@ for name, config in policies.items():
         values = arms @ instance.theta_star
         total += float(values.max() - values[idx])
         observed = reward(instance, arms[idx], noise_rng)
-        state = update(state, config, arms[idx], observed)
+        state = update(state, arms[idx], observed)
     print(f"{name:22s} {total:18.2f}")

@@ -510,7 +510,7 @@ def run_adversarial_episode(
         if r == 1.0:
             idx = algorithms.select_arm(state, config, arms, rng)
         else:
-            pi = GaussianPosterior(*algorithms.posterior_params(state, config, 2))
+            pi = GaussianPosterior(*algorithms.posterior_params(state, config))
             if policy == "lints":
                 pair = wrap_ts(pi, r)
                 draw = ts_adversary_sample(pair, rng)
@@ -528,7 +528,7 @@ def run_adversarial_episode(
         observed = float(theta[idx])
         if noise_sd > 0.0:
             observed += noise_sd * float(rng.standard_normal())
-        state = algorithms.update(state, config, arms[idx], observed)
+        state = algorithms.update(state, arms[idx], observed)
 
     return AdversarialEpisode(
         trace=RegretTrace.from_instantaneous(inst),

@@ -10,12 +10,17 @@ randomness. Ties break to the lowest index so replays are exact.
 Only sampling selection builds a ``GaussianPosterior``, whose construction
 factorises the covariance; quantile selection scores the arms straight from
 the posterior parameters with ``posterior.best_quantile_arm``.
+
+Each policy keeps one inference state. Exact inference and the
+covariance-only approximation keep the full design state (``RlsState``): the
+approximation is read off it at ``posterior_params`` as the exact mean with
+the diagonal inverse ``1 / diag(V)``. Only the ``mean_and_cov`` approximation
+keeps the O(d) diagonal state (``DiagonalApproxState``).
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -33,8 +38,6 @@ from .linalg import (
     rls_update,
 )
 from .posterior import GaussianPosterior, best_quantile_arm
-
-logger = logging.getLogger(__name__)
 
 
 class Kind(str, enum.Enum):
@@ -62,22 +65,15 @@ class ScaleMode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Static policy description: selection rule, inference mode, parameters.
-
-    ``kappa`` is the anti-concentration constant of the standardized posterior
-    when known; quantile selection logs a warning when ``gamma`` sits below
-    the admissible level ``1 - kappa`` (any constant level above it keeps the
-    guarantees, which softens not knowing kappa exactly).
-    """
+    """Static policy description: selection rule, inference mode, parameters."""
 
     kind: Kind
     inference: Inference
     confidence: ConfidenceParams
     horizon: int
     gamma: float | None = None
-    approx_mode: EstimateMode = EstimateMode.MEAN_AND_COV
+    approx_mode: EstimateMode = EstimateMode.COV_ONLY
     scale_mode: ScaleMode = ScaleMode.CONFIDENCE_RADIUS
-    kappa: float | None = None
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -85,13 +81,6 @@ class PolicyConfig:
         if self.kind is Kind.LINBUCB:
             if self.gamma is None or not (0.0 < self.gamma < 1.0):
                 raise ValueError("quantile selection requires gamma in (0, 1)")
-            if self.kappa is not None and self.gamma < 1.0 - self.kappa:
-                logger.warning(
-                    "gamma=%.4f is below the admissible level %.4f; regret "
-                    "guarantees hold only for constant levels above it",
-                    self.gamma,
-                    1.0 - self.kappa,
-                )
 
     @property
     def name(self) -> str:
@@ -105,56 +94,36 @@ class PolicyConfig:
         return replace(self.confidence, delta=self.confidence.delta / (4.0 * self.horizon))
 
 
-@dataclass(frozen=True)
-class PolicyState:
-    """Mutable-by-replacement run state: the inference backends plus a step count.
-
-    Exact inference keeps the full design state; the default approximate mode
-    keeps only the diagonal state; the covariance-only ablation keeps both so
-    the mean can stay exact while sampling uses the diagonal.
-    """
-
-    step: int
-    rls: RlsState | None = None
-    diag: DiagonalApproxState | None = None
-
-
-def init_policy(config: PolicyConfig, dim: int) -> PolicyState:
+def init_policy(config: PolicyConfig, dim: int) -> RlsState | DiagonalApproxState:
+    """The policy's one inference state, before any observation."""
     lam = config.confidence.lam
-    if config.inference is Inference.EXACT:
-        return PolicyState(step=0, rls=rls_init(dim, lam))
-    if config.approx_mode is EstimateMode.MEAN_AND_COV:
-        return PolicyState(step=0, diag=diag_init(dim, lam))
-    return PolicyState(step=0, rls=rls_init(dim, lam), diag=diag_init(dim, lam))
+    if config.inference is Inference.EXACT or config.approx_mode is EstimateMode.COV_ONLY:
+        return rls_init(dim, lam)
+    return diag_init(dim, lam)
 
 
 def posterior_params(
-    state: PolicyState, config: PolicyConfig, dim: int
+    state: RlsState | DiagonalApproxState, config: PolicyConfig
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """``(mean, scale, cov)`` of the posterior law the policy selects from;
-    ``cov`` is the design inverse or its diagonal. The budgeted adversaries
-    reweight exactly this law."""
+    ``cov`` is the design inverse or its diagonal approximation. The budgeted
+    adversaries reweight exactly this law."""
     if config.scale_mode is ScaleMode.UNIT:
         scale = 1.0
     elif config.kind is Kind.LINTS:
-        scale = beta(config.sampling_confidence, state.step, dim)
+        scale = beta(config.sampling_confidence, state.step, state.dim)
     else:
-        scale = beta(config.confidence, state.step, dim)
+        scale = beta(config.confidence, state.step, state.dim)
 
+    if isinstance(state, DiagonalApproxState):
+        return state.estimate, scale, state.diag_inv
     if config.inference is Inference.EXACT:
-        assert state.rls is not None
-        return state.rls.estimate, scale, state.rls.design_inv
-    assert state.diag is not None
-    if config.approx_mode is EstimateMode.MEAN_AND_COV:
-        mean = state.diag.estimate
-    else:
-        assert state.rls is not None
-        mean = state.rls.estimate
-    return mean, scale, state.diag.diag_inv
+        return state.estimate, scale, state.design_inv
+    return state.estimate, scale, 1.0 / np.diagonal(state.design)
 
 
 def select_arm(
-    state: PolicyState,
+    state: RlsState | DiagonalApproxState,
     config: PolicyConfig,
     arms,
     rng: np.random.Generator,
@@ -169,15 +138,19 @@ def select_arm(
     arm_matrix = np.asarray(arms, dtype=float)
     if arm_matrix.ndim != 2 or arm_matrix.shape[0] == 0:
         raise ValueError("arms must be a non-empty (K, d) collection")
-    mean, scale, cov = posterior_params(state, config, arm_matrix.shape[1])
+    if arm_matrix.shape[1] != state.dim:
+        raise ValueError(f"arms have dimension {arm_matrix.shape[1]}, expected {state.dim}")
+    mean, scale, cov = posterior_params(state, config)
     if config.kind is Kind.LINTS:
         theta = GaussianPosterior(mean, scale, cov).sample(1, rng)[0]
         return int(np.argmax(arm_matrix @ theta))
     return best_quantile_arm(mean, scale, cov, arm_matrix, config.gamma)
 
 
-def update(state: PolicyState, config: PolicyConfig, arm, reward: float) -> PolicyState:
-    """Absorb the observed (arm, reward) pair into the inference backends."""
-    rls = rls_update(state.rls, arm, reward) if state.rls is not None else None
-    diag = diag_update(state.diag, arm, reward) if state.diag is not None else None
-    return PolicyState(step=state.step + 1, rls=rls, diag=diag)
+def update(
+    state: RlsState | DiagonalApproxState, arm, reward: float
+) -> RlsState | DiagonalApproxState:
+    """Absorb the observed (arm, reward) pair into the inference state."""
+    if isinstance(state, DiagonalApproxState):
+        return diag_update(state, arm, reward)
+    return rls_update(state, arm, reward)

@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,7 +62,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = harness.sweep_config(config, grid)
     harness.check_output_dir(config.output_dir)
     rows = harness.sensitivity_sweep(sweep, sweep.gamma_grid)
-    paths = harness.emit_sweep_outputs(rows, config, config.output_dir)
+    # the manifest names the grid that ran, so it re-runs this sweep
+    manifest = replace(config, gamma_grid=sweep.gamma_grid)
+    paths = harness.emit_sweep_outputs(rows, manifest, config.output_dir)
     print("gamma      policy            mean final    stderr")
     for row in rows:
         print(f"{row.gamma:<10.4g} {row.label:16s} {row.mean_final:12.2f} {row.stderr_final:9.2f}")

@@ -261,7 +261,10 @@ def load_config(path: str) -> ExperimentConfig:
             if (section, key) not in CONFIG_KEYS:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
             name, parse = CONFIG_KEYS[section, key]
-            values[name] = parse(parser[section][key])
+            try:
+                values[name] = parse(parser[section][key])
+            except ValueError as exc:
+                raise ValueError(f"key {key!r} in section [{section}]: {exc}") from exc
     unset = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(values)
     missing = sorted(key for (_, key), (name, _) in CONFIG_KEYS.items() if name in unset)
     if missing:
@@ -401,7 +404,7 @@ def _run_single(
                     idx = algorithms.select_arm(state, pcfg, arms, prng)
                     regret[start + i] = float(np.max(vals) - vals[idx])
                     observed = float(vals[idx] + noise[i])
-                    state = algorithms.update(state, pcfg, arms[idx], observed)
+                    state = algorithms.update(state, arms[idx], observed)
             except Exception as exc:
                 raise RuntimeError(
                     f"run failed at seed={config.base_seed}+run {run_idx}, "

@@ -2,8 +2,9 @@
 
 Holds the ridge design matrix, its inverse (kept current through rank-1
 updates with periodic dense re-inversions), the reward moment vector, and the
-point estimate. A diagonal-only variant supports fast approximate inference
-where the inverse of ``diag(V)`` stands in for the full inverse.
+point estimate. A diagonal-only variant, O(d) per update, is the state of the
+``mean_and_cov`` approximation, where the inverse of ``diag(V)`` stands in for
+the full inverse in the estimate as well as the covariance.
 """
 
 from __future__ import annotations

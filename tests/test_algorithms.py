@@ -8,13 +8,20 @@ from linbandits.algorithms import (
     Inference,
     Kind,
     PolicyConfig,
-    PolicyState,
     ScaleMode,
     init_policy,
+    posterior_params,
     select_arm,
     update,
 )
-from linbandits.linalg import ConfidenceParams, EstimateMode, RlsState
+from linbandits.linalg import (
+    ConfidenceParams,
+    DiagonalApproxState,
+    EstimateMode,
+    RlsState,
+    diag_init,
+    diag_update,
+)
 
 
 def _conf(**kw) -> ConfidenceParams:
@@ -63,10 +70,10 @@ def test_linbucb_median_level_is_greedy():
         arms = rng.standard_normal((6, 2))
         arms /= np.maximum(1.0, np.linalg.norm(arms, axis=1, keepdims=True))
         idx = select_arm(state, config, arms, rng)
-        mean = state.rls.estimate
+        mean = state.estimate
         assert idx == int(np.argmax(arms @ mean))
         chosen = arms[idx]
-        state = update(state, config, chosen, float(rng.normal()))
+        state = update(state, chosen, float(rng.normal()))
 
 
 def test_linbucb_quantile_scores_worked_example():
@@ -74,22 +81,19 @@ def test_linbucb_quantile_scores_worked_example():
     # mean value + z(0.9) * weighted norm; oracle via scipy's quantile
     config = _linbucb(gamma=0.9, confidence=_conf(nu=0.0, s_bound=1.0))
     eye = np.eye(2)
-    state = PolicyState(
+    state = RlsState(
+        dim=2,
         step=0,
-        rls=RlsState(
-            dim=2,
-            step=0,
-            design=eye,
-            design_inv=eye,
-            moment=np.array([1.0, 0.0]),
-            estimate=np.array([1.0, 0.0]),
-        ),
+        design=eye,
+        design_inv=eye,
+        moment=np.array([1.0, 0.0]),
+        estimate=np.array([1.0, 0.0]),
     )
     arms = np.array([[1.0, 0.0], [0.0, 1.0]])
     idx = select_arm(state, config, arms, np.random.default_rng(0))
     assert idx == 0
     z = st.norm.ppf(0.9)
-    scores = arms @ state.rls.estimate + z * 1.0
+    scores = arms @ state.estimate + z * 1.0
     assert scores[0] == pytest.approx(1.0 + z)
     assert scores[1] == pytest.approx(z)
 
@@ -98,41 +102,51 @@ def test_first_update_builds_identity_plus_outer():
     config = _lints()
     state = init_policy(config, 2)
     arm = np.array([0.6, -0.3])
-    state = update(state, config, arm, 0.7)
-    assert np.allclose(state.rls.design, np.eye(2) + np.outer(arm, arm))
+    state = update(state, arm, 0.7)
+    assert np.allclose(state.design, np.eye(2) + np.outer(arm, arm))
 
 
 def test_exact_and_approximate_share_design_diagonal():
     exact = _lints()
-    approx = _lints(inference=Inference.APPROXIMATE)
+    approx = _lints(inference=Inference.APPROXIMATE, approx_mode=EstimateMode.MEAN_AND_COV)
     se, sa = init_policy(exact, 3), init_policy(approx, 3)
+    assert isinstance(sa, DiagonalApproxState)
     rng = np.random.default_rng(2)
     for _ in range(30):
         arm = rng.standard_normal(3)
         arm /= max(1.0, np.linalg.norm(arm))
         r = float(rng.normal())
-        se = update(se, exact, arm, r)
-        sa = update(sa, approx, arm, r)
-    assert np.array_equal(sa.diag.diag, np.diag(se.rls.design))
+        se = update(se, arm, r)
+        sa = update(sa, arm, r)
+    assert np.array_equal(sa.diag, np.diag(se.design))
 
 
 def test_cov_only_mode_keeps_exact_mean():
+    # one design state: the exact mean, with the covariance read off the
+    # design diagonal bit for bit as a replayed diagonal-state chain has it
+    exact = _lints()
     config = _lints(inference=Inference.APPROXIMATE, approx_mode=EstimateMode.COV_ONLY)
-    state = init_policy(config, 2)
-    assert state.rls is not None and state.diag is not None
+    se, state = init_policy(exact, 2), init_policy(config, 2)
+    assert isinstance(state, RlsState)
+    diag = diag_init(2, config.confidence.lam)
     rng = np.random.default_rng(3)
     for _ in range(10):
         arm = rng.standard_normal(2)
         arm /= max(1.0, np.linalg.norm(arm))
-        state = update(state, config, arm, float(rng.normal()))
-    assert state.rls.step == state.diag.step == 10
+        r = float(rng.normal())
+        se, state, diag = update(se, arm, r), update(state, arm, r), diag_update(diag, arm, r)
+    assert state.step == 10
+    mean, scale, cov = posterior_params(state, config)
+    exact_mean, exact_scale, _ = posterior_params(se, exact)
+    assert np.array_equal(mean, exact_mean) and scale == exact_scale
+    assert cov.tobytes() == diag.diag_inv.tobytes()
 
 
 def test_nan_reward_rejected():
     config = _lints()
     state = init_policy(config, 2)
     with pytest.raises(ValueError):
-        update(state, config, [0.5, 0.0], float("nan"))
+        update(state, [0.5, 0.0], float("nan"))
 
 
 def test_determinism_across_replays():
@@ -149,7 +163,7 @@ def test_determinism_across_replays():
         for arms in arm_sets:
             idx = select_arm(state, config, arms, rng)
             chosen.append(idx)
-            state = update(state, config, arms[idx], float(noise.normal()))
+            state = update(state, arms[idx], float(noise.normal()))
         return chosen
 
     assert run() == run()
@@ -185,16 +199,13 @@ def test_sampling_selection_frequencies_match_dense_integration():
     p_exact = float(np.sum(dens * wins) * cell)
 
     config = _lints(confidence=_conf(nu=0.0, s_bound=1.0), horizon=100)
-    state = PolicyState(
+    state = RlsState(
+        dim=2,
         step=0,
-        rls=RlsState(
-            dim=2,
-            step=0,
-            design=np.linalg.inv(cov),
-            design_inv=cov,
-            moment=np.linalg.inv(cov) @ mean,
-            estimate=mean.copy(),
-        ),
+        design=np.linalg.inv(cov),
+        design_inv=cov,
+        moment=np.linalg.inv(cov) @ mean,
+        estimate=mean.copy(),
     )
     # beta = sqrt(lam) * s_bound = scale with nu=0
     config = _lints(confidence=_conf(nu=0.0, s_bound=scale), horizon=100)
@@ -237,8 +248,8 @@ def test_greedy_equivalence_of_zero_scale_sampling_and_median_quantile():
         i_bu = select_arm(st_bu, bucb, arms, rng_bu)
         assert i_ts == i_bu
         r = float(noise.normal())
-        st_ts = update(st_ts, ts, arms[i_ts], r)
-        st_bu = update(st_bu, bucb, arms[i_bu], r)
+        st_ts = update(st_ts, arms[i_ts], r)
+        st_bu = update(st_bu, arms[i_bu], r)
 
 
 def test_unit_scale_mode_uses_plain_posterior():
@@ -251,7 +262,7 @@ def test_unit_scale_mode_uses_plain_posterior():
     # with unit scale the enormous confidence constants must not matter
     from linbandits.posterior import GaussianPosterior
 
-    post = GaussianPosterior(state.rls.estimate, 1.0, state.rls.design_inv)
+    post = GaussianPosterior(state.estimate, 1.0, state.design_inv)
     assert idx == int(np.argmax(arms @ post.sample(1, rng2)[0]))
 
 
@@ -261,8 +272,7 @@ def test_linbucb_rejects_negative_variance_at_an_offered_arm():
     # it must reject the arm whose quadratic form is certainly negative
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     for config in (_linbucb(), _linbucb(scale_mode=ScaleMode.UNIT)):
-        state = init_policy(config, 2)
-        state = PolicyState(step=0, rls=replace(state.rls, design_inv=indefinite))
+        state = replace(init_policy(config, 2), design_inv=indefinite)
         arms = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="arm 1 has quadratic form -2"):
             select_arm(state, config, arms, np.random.default_rng(0))
@@ -277,9 +287,9 @@ def test_linbucb_requires_gamma():
         )
 
 
-def test_low_gamma_warning_logged(caplog):
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="linbandits.algorithms"):
-        _linbucb(gamma=0.6, kappa=0.1587)
-    assert any("admissible" in rec.message for rec in caplog.records)
+def test_arm_dimension_checked_against_the_state():
+    approx = dict(inference=Inference.APPROXIMATE, approx_mode=EstimateMode.MEAN_AND_COV)
+    for config in (_lints(), _linbucb(), _lints(**approx)):
+        state = init_policy(config, 3)
+        with pytest.raises(ValueError, match="arms have dimension 2, expected 3"):
+            select_arm(state, config, np.ones((4, 2)), np.random.default_rng(0))

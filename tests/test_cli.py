@@ -47,6 +47,22 @@ def test_sweep_command(tmp_path, capsys):
     assert os.path.exists(tmp_path / "out" / "sweep.csv")
 
 
+def test_sweep_manifest_reruns_its_grid(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    assert main(["sweep-gamma", path, "--grid", "0.5,0.7"]) == 0
+    out = tmp_path / "out"
+    first = (out / "sweep.csv").read_bytes()
+    assert main(["sweep-gamma", str(out / "manifest.cfg")]) == 0
+    assert (out / "sweep.csv").read_bytes() == first
+
+
+def test_sweep_grid_from_the_file_keeps_the_manifest_bytes(tmp_path, capsys):
+    path = _write_config(tmp_path, gamma_grid=(0.5, 0.7))
+    assert main(["sweep-gamma", path]) == 0
+    with open(path, "rb") as fh:
+        assert (tmp_path / "out" / "manifest.cfg").read_bytes() == fh.read()
+
+
 def test_sweep_requires_grid(tmp_path, capsys):
     path = _write_config(tmp_path, policies=("linbucb",))
     assert main(["sweep-gamma", path]) == 2

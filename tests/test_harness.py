@@ -67,6 +67,25 @@ def test_unknown_keys_and_sections_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "section,key,raw,detail",
+    [
+        ("experiment", "dim", "three", "invalid literal for int() with base 10: 'three'"),
+        ("policies", "gamma", "0.6x", "could not convert string to float: '0.6x'"),
+        ("experiment", "theta", "0.5,x,1.0", "could not convert string to float: 'x'"),
+    ],
+    ids=["int", "float", "list"],
+)
+def test_unparsable_value_names_its_key(tmp_path, section, key, raw, detail):
+    path = tmp_path / "bad.cfg"
+    save_config(_tiny(family="custom", dim=3, theta=(0.5, 0.0, 1.0)), path)
+    text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {raw}", path.read_text())
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"key {key!r} in section [{section}]: {detail}"
+
+
 def test_default_section_keys_rejected_by_name(tmp_path):
     # configparser copies [DEFAULT] keys into every section; the error must
     # name [DEFAULT], not the first section they were copied into
@@ -455,6 +474,28 @@ def test_outputs_do_not_depend_on_block_length(block, monkeypatch, tmp_path):
     for name, digest in (
         ("traces.csv", _BLOCK_GOLDEN_TRACES),
         ("aggregate.csv", _BLOCK_GOLDEN_AGGREGATE),
+    ):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of traces.csv and aggregate.csv for the two approximate policies
+# under the mean_and_cov approximation, recorded while every approximate
+# policy still stepped a diagonal state alongside its design state
+_MEAN_AND_COV_TRACES = "88caf9f9b1d4cbb2e0a21463974c975910bf1e08e49644826bc72e2eae5b2068"
+_MEAN_AND_COV_AGGREGATE = "f74e104ec44305b9fb246a12875331a921a7f1e70ce957d12f5aebfd623e0916"
+
+
+def test_mean_and_cov_outputs_are_pinned(tmp_path):
+    config = ExperimentConfig(
+        **dict(_BLOCK_GOLDEN, policies=("lints_approx", "linbucb_approx")),
+        approx_mode="mean_and_cov",
+    )
+    result = run_experiment(config)
+    write_traces_csv(result.traces, tmp_path / "traces.csv")
+    write_aggregate_csv(result.aggregates(), tmp_path / "aggregate.csv")
+    for name, digest in (
+        ("traces.csv", _MEAN_AND_COV_TRACES),
+        ("aggregate.csv", _MEAN_AND_COV_AGGREGATE),
     ):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 

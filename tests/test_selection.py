@@ -183,7 +183,7 @@ def test_only_exact_sampling_factorises(monkeypatch):
             before = len(calls)
             idx = select_arm(state, pcfg, arms, rng)
             per_call.append(len(calls) - before)
-            state = update(state, pcfg, arms[idx], float(arms[idx] @ theta + rng.normal()))
+            state = update(state, arms[idx], float(arms[idx] @ theta + rng.normal()))
         assert per_call == [expected[pcfg.name]] * horizon, pcfg.name
     assert set(calls) == {(d, d)}
 

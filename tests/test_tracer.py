@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from linbandits.adversarial import run_adversarial_episode
+from linbandits.harness import ExperimentConfig, run_experiment
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,3 +51,21 @@ def test_linbucb_adversary_reads_one_cdf_value_per_step():
     stats = recorder.span_stats()
     assert stats["adversarial.bucb_divergence"]["calls"] == 5
     assert "adversarial.bucb_adversary_quantiles" not in stats
+
+
+def test_cov_only_policy_steps_the_design_state_only():
+    # the covariance-only approximation reads its diagonal off the design,
+    # so no diagonal-state update runs beside the rank-1 update
+    config = ExperimentConfig(
+        family="P3", dim=4, n_arms=3, horizon=5, n_runs=1, base_seed=1, instance_seed=2,
+        policies=("lints_approx",), approx_mode="cov_only",
+    )
+    recorder = _recorder()
+    try:
+        recorder.install()
+        run_experiment(config)
+    finally:
+        recorder.uninstall()
+    stats = recorder.span_stats()
+    assert stats["linalg.rls_update"]["calls"] == 5
+    assert stats.get("linalg.diag_update", {"calls": 0})["calls"] == 0
