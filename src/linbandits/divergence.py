@@ -21,7 +21,7 @@ import scipy
 
 from .linalg import ConfidenceParams, beta
 from .normal import norm_cdf, norm_ppf
-from .posterior import _LOG_SQRT_2PI, _TAIL_SDS, GaussianPosterior
+from .posterior import _LOG_SQRT_2PI, _TAIL_SDS, GaussianPosterior, _check_int
 
 DEFAULT_MC_SAMPLES = 100_000
 
@@ -339,7 +339,9 @@ def alpha_divergence(
     ``alpha`` of 0 or 1 dispatches to the corresponding KL divergence. The
     closed-form route covers Gaussian pairs (finite whenever the alpha-blended
     precision stays positive definite, infinite otherwise, flagged rather than
-    raised) and reweightings of one shared Gaussian base.
+    raised) and reweightings of one shared Gaussian base. The Monte-Carlo
+    route raises ValueError, before drawing, unless ``mc_samples`` is an
+    integer >= 2.
     """
     alpha = float(alpha)
     method = Method(method)
@@ -365,6 +367,8 @@ def alpha_divergence(
         value, err = _quadrature(p1, p2, alpha, tolerance)
         return DivergenceResult(alpha, value, Method.QUADRATURE_1D, err)
 
+    # the standard error needs two draws
+    mc_samples = _check_int("mc_samples", mc_samples, 2)
     rng = np.random.default_rng() if rng is None else rng
     value, se = _monte_carlo(p1, p2, alpha, mc_samples, rng)
     return DivergenceResult(alpha, value, Method.MONTE_CARLO, se)

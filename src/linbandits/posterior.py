@@ -14,6 +14,7 @@ interface can be certified, not just the Gaussian.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -28,6 +29,13 @@ DEFAULT_SAMPLES = 200_000
 DEFAULT_DIRECTIONS = 64
 _CI_Z = 2.5758293035489004  # two-sided 99% normal quantile
 _CHUNK = 50_000
+# Byte budget of one chunk of draws; what a certifier computes from a chunk
+# takes at most half of it at a time.
+_CHUNK_BYTES = 8 << 20
+# Chunks and blocks are whole multiples of this many rows, as _CHUNK is:
+# OpenBLAS finishes a partial float64 micro-tile (up to 16 rows wide) with
+# another kernel, whose sums can differ in the last bit.
+_TILE = 16
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _SIGNS = np.array([[-1.0], [1.0]])
@@ -305,6 +313,7 @@ def _quantile_scores(centers, q, z: float, scale: float) -> np.ndarray:
 
 def standard_normal_sampler(dim: int) -> Sampler:
     """Sampler for the canonical standardized posterior law."""
+    dim = _check_int("dim", dim, 1)
 
     def draw(n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((n, dim))
@@ -350,9 +359,62 @@ def _unit_directions(dim: int, directions: int, rng: np.random.Generator) -> np.
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def _check_budget(samples: int) -> None:
-    if samples < 1_000:
-        raise ValueError("samples must be at least 1000 to certify anything")
+def _check_int(name: str, value, least: int) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _checked_deltas(delta_grid) -> tuple[float, ...]:
+    deltas = tuple(float(d) for d in delta_grid)
+    if not deltas or any(not (0.0 < d < 1.0) for d in deltas):
+        raise ValueError("delta_grid entries must lie in (0, 1)")
+    return deltas
+
+
+def _probe_dim(sampler: Sampler, rng: np.random.Generator) -> int:
+    """Dimension of the sampler's draws, from one probe draw."""
+    shape = np.shape(sampler(1, rng))
+    if len(shape) != 2 or shape[1] < 1:
+        raise ValueError(f"sampler must return an (n, dim) array with dim >= 1, got shape {shape}")
+    return shape[1]
+
+
+def _rows_within(row_bytes: int, budget: int) -> int:
+    """Rows of ``row_bytes`` bytes that fit ``budget``: a whole number of
+    ``_TILE`` rows (at least one tile) and at most ``_CHUNK``."""
+    return min(_CHUNK, max(_TILE, budget // row_bytes // _TILE * _TILE))
+
+
+def _for_each_block(
+    sampler: Sampler,
+    samples: int,
+    dim: int,
+    rng: np.random.Generator,
+    visit: Callable[[int, np.ndarray], None],
+    temp_row_bytes: int | None = None,
+) -> None:
+    """Draw ``samples`` rows of ``sampler`` and pass consecutive row blocks
+    to ``visit(start, block)``, ``start`` being the block's first row.
+
+    A sampler call draws one chunk of at most ``_CHUNK_BYTES``: 50,000 rows
+    at every dim <= 20, 5,232 at dim 200. A block is the whole chunk or,
+    given ``temp_row_bytes``, the rows whose temporaries fit half the
+    budget. Neither the rng stream nor, as boundaries fall on whole tiles,
+    any row's BLAS dot products depend on that split. Raises ValueError when
+    a chunk is not ``(n, dim)``, before the next draw.
+    """
+    rows = _rows_within(8 * dim, _CHUNK_BYTES)
+    step = rows if temp_row_bytes is None else _rows_within(temp_row_bytes, _CHUNK_BYTES // 2)
+    for start in range(0, samples, rows):
+        n = min(rows, samples - start)
+        eta = sampler(n, rng)
+        if np.shape(eta) != (n, dim):
+            raise ValueError(f"sampler returned shape {np.shape(eta)} for {n} draws of dim {dim}")
+        for i in range(0, n, step):
+            visit(start + i, eta[i : i + step])
+        del eta  # two chunks are never alive at once
 
 
 def certify_anti_concentration(
@@ -366,26 +428,26 @@ def certify_anti_concentration(
     Returns the direction minimum together with its 99% binomial confidence
     half-width at the realized sample count.
     """
-    _check_budget(samples)
+    directions = _check_int("directions", directions, 1)
+    samples = _check_int("samples", samples, 1_000)
     rng = np.random.default_rng() if rng is None else rng
-    probe = sampler(1, rng)
-    dim = probe.shape[1]
+    dim = _probe_dim(sampler, rng)
     u = _unit_directions(dim, directions, rng)
 
     hits = np.zeros(directions, dtype=np.int64)
-    drawn = 0
-    while drawn < samples:
-        n = min(_CHUNK, samples - drawn)
-        eta = sampler(n, rng)
+
+    def count(start: int, eta: np.ndarray) -> None:
+        nonlocal hits
         hits += np.count_nonzero(eta @ u.T >= 1.0, axis=0)
-        del eta  # two chunks are never alive at once
-        drawn += n
-    p_hat = hits / drawn
+
+    # a block's projections (8 bytes each) and their mask (1 byte each)
+    _for_each_block(sampler, samples, dim, rng, count, temp_row_bytes=9 * directions)
+    p_hat = hits / samples
     k = int(np.argmin(p_hat))
     p_min = float(p_hat[k])
-    half = _CI_Z * math.sqrt(max(p_min * (1.0 - p_min), 1.0 / drawn) / drawn)
+    half = _CI_Z * math.sqrt(max(p_min * (1.0 - p_min), 1.0 / samples) / samples)
     return WellBehavedCertificate(
-        kappa1_hat=p_min, samples=drawn, directions=directions, ci_halfwidth=half
+        kappa1_hat=p_min, samples=samples, directions=directions, ci_halfwidth=half
     )
 
 
@@ -418,7 +480,8 @@ def _max_row_quantile(rows: np.ndarray, level: float) -> float:
     with np.errstate(invalid="ignore", over="ignore"):
         if not np.all(np.isfinite(np.max(rows, axis=1) - np.min(rows, axis=1))):
             need = 0  # the lerp bound may fail: partition every row
-    counts = np.count_nonzero(rows >= best, axis=1)
+    # one row at a time: a mask of every row would be an eighth of ``rows``
+    counts = np.array([np.count_nonzero(row >= best) for row in rows])
     for i in np.argsort(-counts):
         if counts[i] < need:
             break  # every later row has no more entries >= B than this one
@@ -441,30 +504,30 @@ def certify_concentration_type2(
     the ambient dimension; that dimension-freeness is exactly what callers
     probe with this function.
 
-    Holds every projection at once, one row per direction, plus one chunk of
-    samples: directions x samples x 8 bytes (102 MB at the defaults) and
-    _CHUNK x dim x 8 bytes (80 MB at dim 200). Each chunk's projections are
-    written straight into that buffer, and only the rows that can hold the
-    maximum are partitioned there (see ``_max_row_quantile``); the result is
-    exactly the maximum of every row's quantile, not an approximation.
+    Holds every projection at once, one row per direction: directions x
+    samples x 8 bytes (102 MB at the defaults). That buffer is the floor of
+    the certificate's memory, and what makes it exact: only the rows that
+    can hold the maximum are partitioned there (see ``_max_row_quantile``),
+    and the result is exactly the maximum of every row's quantile, not an
+    approximation. Besides it, the call holds one chunk of draws of at most
+    ``_CHUNK_BYTES`` (8 MiB; see ``_for_each_block``), whose projections are
+    written straight into the buffer.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    _check_budget(samples)
+    directions = _check_int("directions", directions, 1)
+    samples = _check_int("samples", samples, 1_000)
     rng = np.random.default_rng() if rng is None else rng
-    probe = sampler(1, rng)
-    dim = probe.shape[1]
+    dim = _probe_dim(sampler, rng)
     u = _unit_directions(dim, directions, rng)
 
     projections = np.empty((directions, samples))
-    drawn = 0
-    while drawn < samples:
-        n = min(_CHUNK, samples - drawn)
-        eta = sampler(n, rng)
+
+    def project(start: int, eta: np.ndarray) -> None:
         # row-strided with unit inner stride, so the product is still one GEMM
-        np.matmul(u, eta.T, out=projections[:, drawn : drawn + n])
-        del eta
-        drawn += n
+        np.matmul(u, eta.T, out=projections[:, start : start + eta.shape[0]])
+
+    _for_each_block(sampler, samples, dim, rng, project)
     return _max_row_quantile(projections, 1.0 - delta)
 
 
@@ -482,22 +545,18 @@ def certify_concentration_type1(
     ``||eta||`` stays below ``sqrt(c1 d log(c1p d / delta))`` at every delta of
     the grid. Returns the lexicographically smallest feasible pair.
     """
-    deltas = tuple(float(d) for d in delta_grid)
-    if not deltas or any(not (0.0 < d < 1.0) for d in deltas):
-        raise ValueError("delta_grid entries must lie in (0, 1)")
-    _check_budget(samples)
+    deltas = _checked_deltas(delta_grid)
+    samples = _check_int("samples", samples, 1_000)
     rng = np.random.default_rng() if rng is None else rng
-    probe = sampler(1, rng)
-    dim = probe.shape[1]
+    dim = _probe_dim(sampler, rng)
 
     norms = np.empty(samples)
-    drawn = 0
-    while drawn < samples:
-        n = min(_CHUNK, samples - drawn)
-        eta = sampler(n, rng)
-        norms[drawn : drawn + n] = np.linalg.norm(eta, axis=1)
-        del eta
-        drawn += n
+
+    def norm(start: int, eta: np.ndarray) -> None:
+        norms[start : start + eta.shape[0]] = np.linalg.norm(eta, axis=1)
+
+    # np.linalg.norm squares a block first: 8 bytes per entry
+    _for_each_block(sampler, samples, dim, rng, norm, temp_row_bytes=8 * dim)
     quantiles = tuple(float(np.quantile(norms, 1.0 - d)) for d in deltas)
 
     def bound(c1: float, c1p: float, delta: float) -> float:
@@ -521,6 +580,7 @@ def certify_well_behaved(
     rng: np.random.Generator | None = None,
 ) -> WellBehavedCertificate:
     """Full certificate: anti-concentration, Type-I constants, Type-II table."""
+    _checked_deltas(delta_grid)  # before the anti-concentration draws
     rng = np.random.default_rng() if rng is None else rng
     cert = certify_anti_concentration(sampler, directions, samples, rng)
     feas = certify_concentration_type1(sampler, delta_grid, samples, rng)

@@ -163,6 +163,21 @@ def test_monte_carlo_tracks_closed_form():
         assert abs(mc.value - exact.value) < 3 * mc.error_estimate
 
 
+@pytest.mark.parametrize("mc_samples", [0, 1, 1000.5, -5])
+def test_monte_carlo_rejects_bad_sample_count_before_drawing(mc_samples):
+    # 0 draws gave value nan and 1 draw error_estimate nan, without a word
+    g1 = GaussianPosterior([0.3], 1.0, [[1.0]])
+    g2 = GaussianPosterior([-0.2], 1.0, [[1.1]])
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="mc_samples must be an integer >= 2"):
+        alpha_divergence(g1, g2, 2.0, Method.MONTE_CARLO, rng=rng, mc_samples=mc_samples)
+    assert rng.bit_generator.state == before
+    assert math.isfinite(
+        alpha_divergence(g1, g2, 2.0, Method.MONTE_CARLO, rng=rng, mc_samples=2).error_estimate
+    )
+
+
 def test_reweighted_descriptor_is_normalized_and_invertible():
     q = two_region_reweight(0.2, 1.1, 0.5, 0.8)
     xs = np.linspace(-12, 13, 400)

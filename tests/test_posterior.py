@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,146 @@ def test_certification_requires_budget():
         certify_anti_concentration(standard_normal_sampler(2), 8, 999, rng)
     with pytest.raises(ValueError):
         certify_concentration_type2(standard_normal_sampler(2), 0.05, 8, 10, rng)
+
+
+_DIRECTIONS = "directions must be an integer >= 1"
+_SAMPLES = "samples must be an integer >= 1000"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s, r: certify_anti_concentration(s, 0, 2_000, r), _DIRECTIONS),
+        (lambda s, r: certify_concentration_type2(s, 0.1, 0, 2_000, r), _DIRECTIONS),
+        (lambda s, r: certify_concentration_type2(s, 0.1, 2.0, 2_000, r), _DIRECTIONS),
+        (lambda s, r: certify_well_behaved(s, (0.1,), 0, 2_000, r), _DIRECTIONS),
+        (lambda s, r: certify_well_behaved(s, (0.0,), 4, 2_000, r), "delta_grid entries"),
+        (lambda s, r: certify_anti_concentration(s, 4, 1000.5, r), _SAMPLES),
+        (lambda s, r: certify_concentration_type2(s, 0.1, 4, 1000.5, r), _SAMPLES),
+        (lambda s, r: certify_concentration_type1(s, (0.1,), 1000.5, r), _SAMPLES),
+    ],
+)
+def test_certificates_reject_bad_arguments_before_drawing(call, message):
+    calls = []
+
+    def sampler(n, r):
+        calls.append(n)
+        return r.standard_normal((n, 2))
+
+    rng = np.random.default_rng(19)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        call(sampler, rng)
+    assert calls == [] and rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize(
+    "certify",
+    [
+        lambda s, r: certify_anti_concentration(s, 4, 2_000, r),
+        lambda s, r: certify_concentration_type2(s, 0.1, 4, 2_000, r),
+        lambda s, r: certify_concentration_type1(s, (0.1,), 2_000, r),
+    ],
+)
+def test_certificates_reject_malformed_draws(certify):
+    rng = np.random.default_rng(20)
+    # the probe draw must be an (n, dim) array with dim >= 1
+    for probe in (lambda n, r: r.standard_normal(n), lambda n, r: np.empty((n, 0))):
+        with pytest.raises(ValueError, match="sampler must return an"):
+            certify(probe, rng)
+    # a chunk of the wrong width fails before the next draw
+    calls = []
+
+    def widens(n, r):
+        calls.append(n)
+        return r.standard_normal((n, 2 if n == 1 else 3))
+
+    with pytest.raises(ValueError, match=r"sampler returned shape \(2000, 3\)"):
+        certify(widens, rng)
+    assert calls == [1, 2_000]
+
+
+@pytest.mark.parametrize("dim", [0, -1, 2.0])
+def test_standard_normal_sampler_needs_a_positive_integer_dim(dim):
+    # a dim-0 sampler certified kappa1 = 0 and a feasible Type-I pair
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        standard_normal_sampler(dim)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certificates_hold_one_byte_budget_of_temporaries():
+    budget = 2 * posterior._CHUNK_BYTES
+    rng = np.random.default_rng(21)
+    # the Type-II projection buffer is the floor; one chunk rides on it
+    peak = _traced_peak(
+        lambda: certify_concentration_type2(standard_normal_sampler(200), 0.05, 64, 200_000, rng)
+    )
+    assert peak <= 64 * 200_000 * 8 + budget
+    for dim in (5, 200):
+        peak = _traced_peak(
+            lambda: certify_anti_concentration(standard_normal_sampler(dim), 64, 200_000, rng)
+        )
+        assert peak <= budget, dim
+    peak = _traced_peak(
+        lambda: certify_concentration_type1(standard_normal_sampler(200), (0.05,), 200_000, rng)
+    )
+    assert peak <= budget
+
+
+def _certificate_bits(dim, samples, seed):
+    sampler = standard_normal_sampler(dim)
+    anti = certify_anti_concentration(sampler, 64, samples, np.random.default_rng(seed))
+    type1 = certify_concentration_type1(sampler, (0.05, 0.25), samples, np.random.default_rng(seed))
+    type2 = certify_concentration_type2(sampler, 0.05, 64, samples, np.random.default_rng(seed))
+    return [x.hex() for x in (anti.kappa1_hat, anti.ci_halfwidth, *type1.quantiles, type2)]
+
+
+# d=5: 50,000-row chunks whose projections are counted in blocks;
+# d=200: chunks of 5,232 rows, the last of 4,896
+@pytest.mark.parametrize("dim", [5, 200])
+def test_certificates_keep_their_bits_under_the_byte_budget(monkeypatch, dim):
+    projections = []
+    max_row_quantile = posterior._max_row_quantile
+
+    def keep_rows(rows, level):
+        projections.append(rows.copy())
+        return max_row_quantile(rows, level)
+
+    monkeypatch.setattr(posterior, "_max_row_quantile", keep_rows)
+    capped = _certificate_bits(dim, 120_000, 22)
+    monkeypatch.setattr(posterior, "_CHUNK_BYTES", 1 << 40)  # one block per 50,000 rows
+    assert _certificate_bits(dim, 120_000, 22) == capped
+    # every Type-II projection, not only the order statistics returned
+    assert np.array_equal(*projections)
+
+
+@pytest.mark.parametrize("dim, rows", [(2, 50_000), (20, 50_000), (200, 5_232)])
+def test_certificates_draw_whole_chunks(dim, rows):
+    # 50,000 rows at every dim <= 20, as before the byte budget: samplers
+    # whose output depends on how the draw is split see the same calls
+    samples = 120_000
+    want = [1] + [rows] * (samples // rows) + [samples % rows]
+    for certify in (
+        lambda s: certify_anti_concentration(s, 8, samples, np.random.default_rng(23)),
+        lambda s: certify_concentration_type1(s, (0.1,), samples, np.random.default_rng(23)),
+        lambda s: certify_concentration_type2(s, 0.1, 8, samples, np.random.default_rng(23)),
+    ):
+        calls = []
+
+        def sampler(n, r):
+            calls.append(n)
+            return r.standard_normal((n, dim))
+
+        certify(sampler)
+        assert calls == want
 
 
 def test_certify_type2_quantiles():
