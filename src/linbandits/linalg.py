@@ -2,7 +2,11 @@
 
 Holds the ridge design matrix, its inverse (kept current through rank-1
 updates with periodic dense re-inversions), the reward moment vector, and the
-point estimate. A diagonal-only variant, O(d) per update, is the state of the
+point estimate. Each update builds its two outer products with one K=1 BLAS
+product apiece, which gives the same bits as an elementwise outer product
+(see ``_outer``). Every re-inversion measures how far the rank-1 inverse had
+drifted and warns past ``DRIFT_TOLERANCE``; an update that overflows raises.
+A diagonal-only variant, O(d) per update, is the state of the
 ``mean_and_cov`` approximation, where the inverse of ``diag(V)`` stands in for
 the full inverse in the estimate as well as the covariance.
 """
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +24,11 @@ import numpy as np
 # state at O(d^2) per update.
 REINVERT_PERIOD = 256
 
+# Largest relative gap max|A_rank1 - A_inv| / max|A_inv| between the rank-1
+# inverse and a fresh one that a re-inversion repairs without a warning; the
+# bound of acceptance criterion 7. Healthy runs stay below 4e-15.
+DRIFT_TOLERANCE = 1e-8
+
 
 def _as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=float)
@@ -26,7 +36,7 @@ def _as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"{name} has dimension {v.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
@@ -92,38 +102,79 @@ def rls_init(dim: int, lam: float) -> RlsState:
     )
 
 
+def _outer(v: np.ndarray) -> np.ndarray:
+    """``v v^T`` in a fresh array, as one K=1 BLAS product (GEMM or SYRK).
+
+    Every entry is a single product ``v_i * v_j`` accumulated onto +0 with
+    alpha = 1, and ``fma(a, b, +0)`` rounds ``a * b`` once, so the result
+    equals ``np.multiply.outer(v, v)`` bit for bit whatever the BLAS thread
+    count or blocking. The one difference: a product that is exactly -0
+    (a zero times a negative number) comes out +0. A nonzero product that
+    underflows keeps its sign. ``design`` never shows the difference: it
+    adds the product to entries that are never -0, and ``a + (+0)`` equals
+    ``a + (-0)`` bit for bit unless ``a`` is -0. ``design_inv`` subtracts
+    it, and ``a - (+0)`` differs from ``a - (-0)`` only when ``a`` is -0,
+    which only a re-inversion can leave there.
+    """
+    return np.dot(v[:, None], v[None, :])
+
+
 def rls_update(state: RlsState, arm, reward: float) -> RlsState:
     """Absorb one (arm, reward) pair and return the updated state.
 
     The inverse follows the rank-1 identity
     ``(A + x x^T)^-1 = A^-1 - (A^-1 x)(A^-1 x)^T / (1 + x^T A^-1 x)``
     and is replaced by a dense re-inversion every ``REINVERT_PERIOD`` updates.
+    That re-inversion warns (``RuntimeWarning``, naming the step and the
+    residual) when the rank-1 inverse it replaces had drifted past
+    ``DRIFT_TOLERANCE``. An update whose ``1 + x^T A^-1 x``, new design
+    diagonal or new estimate is not finite raises ``ValueError``; these
+    checks are O(d).
     """
     x = _as_vector(arm, state.dim, "arm")
     r = _check_reward(reward)
+    step = state.step + 1
 
     # Two fresh d x d arrays, filled in place; the old state is never written.
-    design = np.multiply.outer(x, x)
+    design = _outer(x)
     design += state.design
     vx = state.design_inv @ x
     denom = 1.0 + float(x @ vx)
-    design_inv = np.multiply.outer(vx, vx)
+    if not math.isfinite(denom):
+        raise ValueError(f"rank-1 update overflowed at step {step}: 1 + x^T V^-1 x = {denom}")
+    design_inv = _outer(vx)
     design_inv /= denom
     np.subtract(state.design_inv, design_inv, out=design_inv)
 
-    step = state.step + 1
     if step % REINVERT_PERIOD == 0:
-        design_inv = np.linalg.inv(design)
-        design_inv = 0.5 * (design_inv + design_inv.T)
+        fresh_inv = np.linalg.inv(design)
+        fresh_inv = 0.5 * (fresh_inv + fresh_inv.T)
+        drift = float(np.abs(design_inv - fresh_inv).max() / np.abs(fresh_inv).max())
+        if not drift <= DRIFT_TOLERANCE:
+            warnings.warn(
+                f"rank-1 design inverse drifted by {drift:.3g} (relative max-entry gap "
+                f"to a fresh inverse, tolerance {DRIFT_TOLERANCE:g}) by step {step}; "
+                "the re-inversion repaired it",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        design_inv = fresh_inv
 
     moment = state.moment + r * x
+    estimate = design_inv @ moment
+    # inf * 0 is nan and a finite entry times 0 is +-0, so this dot product
+    # is finite exactly when both vectors are, and it cannot overflow
+    diag = design.diagonal()
+    if not math.isfinite(diag @ (0.0 * estimate)):
+        bad = "design diagonal" if not np.isfinite(diag).all() else "estimate"
+        raise ValueError(f"rank-1 update overflowed at step {step}: the new {bad} is not finite")
     return RlsState(
         dim=state.dim,
         step=step,
         design=design,
         design_inv=design_inv,
         moment=moment,
-        estimate=design_inv @ moment,
+        estimate=estimate,
     )
 
 

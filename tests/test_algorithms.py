@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from linbandits.algorithms import (
     select_arm,
     update,
 )
+from linbandits.harness import ExperimentConfig, run_experiment, write_traces_csv
 from linbandits.linalg import (
     ConfidenceParams,
     DiagonalApproxState,
@@ -293,3 +295,27 @@ def test_arm_dimension_checked_against_the_state():
         state = init_policy(config, 3)
         with pytest.raises(ValueError, match="arms have dimension 2, expected 3"):
             select_arm(state, config, np.ones((4, 2)), np.random.default_rng(0))
+
+
+# SHA-256 of traces.csv for P3, d=200, K=50, T=300, all four policies,
+# recorded while the rank-1 update built its outer products with
+# np.multiply.outer. T=300 crosses the step-256 re-inversion. The traces
+# pin the chosen arms and regrets, not the last bits of the state;
+# tests/test_linalg.py compares the state bytes.
+_HIGHDIM_ALL_POLICIES_TRACES = "bc072a492a0bf4a2e51af8f488dc3bd53770ecc866c7c5716ea005f545253067"
+
+
+def test_highdim_all_policy_traces_are_bit_stable(tmp_path):
+    config = ExperimentConfig(
+        family="P3",
+        dim=200,
+        n_arms=50,
+        horizon=300,
+        n_runs=1,
+        base_seed=20240601,
+        instance_seed=7,
+        policies=("lints", "lints_approx", "linbucb", "linbucb_approx"),
+    )
+    path = tmp_path / "traces.csv"
+    write_traces_csv(run_experiment(config).traces, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _HIGHDIM_ALL_POLICIES_TRACES

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linbandits import linalg
 from linbandits.linalg import (
     REINVERT_PERIOD,
     ConfidenceParams,
@@ -59,22 +62,138 @@ def _reference_rls_update(state, x, r):
     return design, design_inv, moment, design_inv @ moment
 
 
-@pytest.mark.parametrize("dim", [1, 20, 200])
-def test_rls_update_matches_plain_expressions_bitwise(dim):
+def _gaussian_arms(dim, rng):
+    while True:
+        yield rng.standard_normal(dim) / math.sqrt(dim)
+
+
+def _unit_vector_arms(dim, rng):
+    # the adversarial episodes' pattern: every arm is e_1 or e_2
+    eye = np.eye(dim)
+    while True:
+        yield eye[rng.integers(2)]
+
+
+def _ternary_arms(dim, rng):
+    # entries in {-1, 0, 1}: many exact zero and negative-zero products
+    while True:
+        yield rng.integers(-1, 2, size=dim).astype(float)
+
+
+@pytest.mark.parametrize(
+    "dim,arms,steps",
+    [
+        (1, _gaussian_arms, REINVERT_PERIOD + 40),
+        (20, _gaussian_arms, REINVERT_PERIOD + 40),
+        (200, _gaussian_arms, REINVERT_PERIOD + 40),
+        (2, _unit_vector_arms, 2 * REINVERT_PERIOD + 40),
+        (3, _ternary_arms, 2 * REINVERT_PERIOD + 40),
+    ],
+    ids=["1", "20", "200", "unit-vectors-2", "ternary-3"],
+)
+def test_rls_update_matches_plain_expressions_bitwise(dim, arms, steps):
+    # bytes, not values, so a signed zero that differs from the plain
+    # expressions fails the test
     rng = np.random.default_rng(dim)
     state = rls_init(dim, 1.0)
-    for _ in range(REINVERT_PERIOD + 40):
-        arm = rng.standard_normal(dim) / math.sqrt(dim)
+    stream = arms(dim, rng)
+    for _ in range(steps):
+        arm = next(stream)
         reward = float(rng.normal())
         before = (state.design.copy(), state.design_inv.copy(), state.moment.copy())
         expected = _reference_rls_update(state, arm, reward)
         new = rls_update(state, arm, reward)
         for got, want in zip((new.design, new.design_inv, new.moment, new.estimate), expected):
-            np.testing.assert_array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
         # the previous state is never written
         for got, want in zip((state.design, state.design_inv, state.moment), before):
-            np.testing.assert_array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
         state = new
+    assert state.step == steps
+
+
+def _has_exact_negative_zero_product(v):
+    # where v_i * v_j is zero because a factor is zero, and its sign is negative
+    zero = (v == 0.0)[:, None] | (v == 0.0)[None, :]
+    return zero & (np.signbit(v)[:, None] != np.signbit(v)[None, :])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 17, 200, 333])
+def test_blas_outer_product_matches_multiply_outer(dim):
+    rng = np.random.default_rng(dim)
+    v = rng.standard_normal(dim)
+    # zeros of both signs, products that are subnormal or underflow to a
+    # signed zero, and products that overflow to +-inf
+    specials = [0.0, -0.0, 1e-160, -1e-160, 1e-200, -1e-200, 1e200, -1e200]
+    v[rng.integers(dim, size=min(dim, 8))] = specials[: min(dim, 8)]
+    v[rng.random(dim) < 0.2] = 0.0
+    with np.errstate(over="ignore"):
+        got = linalg._outer(v)
+        want = np.multiply.outer(v, v)
+    np.testing.assert_array_equal(got, want)
+    # bit for bit, except that an exact -0 product comes out +0
+    differs = _has_exact_negative_zero_product(v)
+    assert np.array_equal(np.signbit(got), np.signbit(want) & ~differs)
+    assert not np.signbit(got[differs]).any()
+
+
+def test_blas_outer_product_signed_zeros():
+    v = np.array([0.0, -1.0, 1e-200, -1e-200])
+    got = linalg._outer(v)
+    # 0 * -1 is exactly -0 elementwise; the BLAS product gives +0
+    assert np.signbit(np.multiply.outer(v, v)[0, 1])
+    assert got[0, 1] == 0.0 and not np.signbit(got[0, 1])
+    # a nonzero product that underflows keeps its sign
+    assert got[2, 3] == 0.0 and np.signbit(got[2, 3])
+    assert got[2, 2] == 0.0 and not np.signbit(got[2, 2])
+
+
+def test_drifted_inverse_warns_at_reinversion():
+    state = rls_init(3, 1.0)
+    rng = np.random.default_rng(5)
+    for _ in range(REINVERT_PERIOD - 1):
+        state = rls_update(state, rng.standard_normal(3) / 2, 0.0)
+    drifted = dataclasses.replace(state, design_inv=state.design_inv * (1.0 + 1e-6))
+    message = rf"drifted by (9\.\d+e-07|1\.\d+e-06) .* by step {REINVERT_PERIOD};"
+    with pytest.warns(RuntimeWarning, match=message):
+        repaired = rls_update(drifted, [0.1, 0.2, 0.3], 1.0)
+    # the re-inversion still replaces the drifted inverse
+    assert np.max(np.abs(repaired.design_inv - np.linalg.inv(repaired.design))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 20, 200])
+def test_healthy_runs_do_not_warn_about_drift(dim):
+    rng = np.random.default_rng(dim)
+    state = rls_init(dim, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2 * REINVERT_PERIOD):
+            state = rls_update(state, rng.standard_normal(dim) / math.sqrt(dim), rng.normal())
+    # the tolerance is criterion 7's bound on the inverse gap
+    assert linalg.DRIFT_TOLERANCE == 1e-8
+
+
+def test_overflowing_update_raises():
+    with np.errstate(all="ignore"):
+        # x^T V^-1 x overflows
+        with pytest.raises(ValueError, match=r"step 1: 1 \+ x\^T V\^-1 x = inf"):
+            rls_update(rls_init(3, 1.0), [1e200] * 3, 1.0)
+        # V^-1 x x^T V^-1 overflows while x^T V^-1 x does not
+        with pytest.raises(ValueError, match="step 1: the new estimate is not finite"):
+            rls_update(rls_init(3, 1e-300), [1e-10, 0.0, 0.0], 1.0)
+        # the design diagonal overflows while V^-1 is tiny there
+        huge = rls_init(2, 1.0)
+        huge = dataclasses.replace(
+            huge,
+            step=7,
+            design=np.diag([1e308, 1.0]),
+            design_inv=np.diag([1e-308, 1.0]),
+        )
+        with pytest.raises(ValueError, match="step 8: the new design diagonal is not finite"):
+            rls_update(huge, [2e154, 0.0], 0.0)
+        # the moment overflows
+        with pytest.raises(ValueError, match="step 1: the new estimate is not finite"):
+            rls_update(rls_init(2, 1.0), [1e10, 0.0], 1e300)
 
 
 def test_rejects_non_finite_inputs():
