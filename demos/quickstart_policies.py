@@ -30,7 +30,7 @@ policies = {
         kind=Kind.LINTS, inference=Inference.EXACT, confidence=confidence, horizon=HORIZON
     ),
     "sampling (diagonal)": PolicyConfig(
-        kind=Kind.LINTS, inference=Inference.APPROXIMATE, confidence=confidence, horizon=HORIZON
+        kind=Kind.LINTS, inference=Inference.COV_ONLY, confidence=confidence, horizon=HORIZON
     ),
     "quantile (exact)": PolicyConfig(
         kind=Kind.LINBUCB,
@@ -41,7 +41,7 @@ policies = {
     ),
     "quantile (diagonal)": PolicyConfig(
         kind=Kind.LINBUCB,
-        inference=Inference.APPROXIMATE,
+        inference=Inference.COV_ONLY,
         confidence=confidence,
         horizon=HORIZON,
         gamma=0.6,

@@ -299,17 +299,15 @@ def bucb_second_marginal_cdf(pair: AdversarialPosteriorPair, value: float) -> fl
     return float(np.dot(_GH_W, _bucb_cdf_from_nodes(pair, value)) * _GH_NORM)
 
 
-def _check_bucb_level(pair: AdversarialPosteriorPair, gamma: float) -> None:
+def _check_bucb_level(pair: AdversarialPosteriorPair) -> None:
     if pair.construction is not Construction.BUCB_CONDITIONAL_REWEIGHT:
         raise ValueError("pair was not built for the quantile adversary")
-    if abs(gamma - pair.gamma) > 1e-12:
-        raise ValueError("gamma must match the construction level")
 
 
-def bucb_adversary_choice(pair: AdversarialPosteriorPair, gamma: float) -> int:
-    """The arm whose level-``gamma`` quantile under the reweighted law is the
-    larger, ties to arm 0: the comparison of ``bucb_adversary_quantiles``
-    without finding the second quantile.
+def bucb_adversary_choice(pair: AdversarialPosteriorPair) -> int:
+    """The arm whose quantile at the pair's level ``gamma`` under the
+    reweighted law is the larger, ties to arm 0: the comparison of
+    ``bucb_adversary_quantiles`` without finding the second quantile.
 
     The first quantile is the cut ``b`` exactly, and the reweighted second
     marginal ``F2`` is continuous and nondecreasing, so ``q1 >= q2`` holds
@@ -329,23 +327,22 @@ def bucb_adversary_choice(pair: AdversarialPosteriorPair, gamma: float) -> int:
     narrows the margin; the tests replay whole episodes and compare every
     step.
     """
-    _check_bucb_level(pair, gamma)
-    return 0 if bucb_second_marginal_cdf(pair, pair.b_t) >= gamma else 1
+    _check_bucb_level(pair)
+    return 0 if bucb_second_marginal_cdf(pair, pair.b_t) >= pair.gamma else 1
 
 
-def bucb_adversary_quantiles(
-    pair: AdversarialPosteriorPair, gamma: float
-) -> tuple[float, float]:
-    """Quantiles of the two arm values under the reweighted law; the
-    reference the episode's choice (``bucb_adversary_choice``) is tested
-    against.
+def bucb_adversary_quantiles(pair: AdversarialPosteriorPair) -> tuple[float, float]:
+    """Quantiles at the pair's level ``gamma`` of the two arm values under
+    the reweighted law; the reference the episode's choice
+    (``bucb_adversary_choice``) is tested against.
 
     The first marginal is preserved by construction, so the first quantile is
     the recorded cut exactly; the second is root-found on the reweighted
     marginal CDF (above the cut whenever the squashed mass stays below gamma,
     which the feasible reweighting factor guarantees).
     """
-    _check_bucb_level(pair, gamma)
+    _check_bucb_level(pair)
+    gamma = pair.gamma
     _, cov = pair.moments()
     _, m2, sd1, slope, cond_sd = pair.conditional_law
     sd2 = math.sqrt(float(cov[1, 1]))
@@ -519,7 +516,7 @@ def run_adversarial_episode(
                 idx = 0 if draw[0] >= draw[1] else 1
             else:
                 pair = wrap_bucb(pi, r, gamma)
-                idx = bucb_adversary_choice(pair, gamma)
+                idx = bucb_adversary_choice(pair)
                 if certify:
                     divs[t] = bucb_divergence(pair, alpha)[0]
 

@@ -12,10 +12,11 @@ factorises the covariance; quantile selection scores the arms straight from
 the posterior parameters with ``posterior.best_quantile_arm``.
 
 Each policy keeps one inference state. Exact inference and the
-covariance-only approximation keep the full design state (``RlsState``): the
-approximation is read off it at ``posterior_params`` as the exact mean with
-the diagonal inverse ``1 / diag(V)``. Only the ``mean_and_cov`` approximation
-keeps the O(d) diagonal state (``DiagonalApproxState``).
+covariance-only approximation (``Inference.COV_ONLY``) keep the full design
+state (``RlsState``): the approximation is read off it at
+``posterior_params`` as the exact mean with the diagonal inverse
+``1 / diag(V)``. Only the ``Inference.MEAN_AND_COV`` approximation keeps the
+O(d) diagonal state (``DiagonalApproxState``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .linalg import (
     ConfidenceParams,
     DiagonalApproxState,
-    EstimateMode,
     RlsState,
     beta,
     diag_init,
@@ -46,8 +46,13 @@ class Kind(str, enum.Enum):
 
 
 class Inference(str, enum.Enum):
+    """Exact inference, or which parts of the posterior the diagonal inverse
+    of the design replaces; the approximate values are the config's
+    ``approx_mode`` strings."""
+
     EXACT = "exact"
-    APPROXIMATE = "approximate"
+    COV_ONLY = "cov_only"
+    MEAN_AND_COV = "mean_and_cov"
 
 
 class ScaleMode(str, enum.Enum):
@@ -72,7 +77,6 @@ class PolicyConfig:
     confidence: ConfidenceParams
     horizon: int
     gamma: float | None = None
-    approx_mode: EstimateMode = EstimateMode.COV_ONLY
     scale_mode: ScaleMode = ScaleMode.CONFIDENCE_RADIUS
 
     def __post_init__(self) -> None:
@@ -97,9 +101,9 @@ class PolicyConfig:
 def init_policy(config: PolicyConfig, dim: int) -> RlsState | DiagonalApproxState:
     """The policy's one inference state, before any observation."""
     lam = config.confidence.lam
-    if config.inference is Inference.EXACT or config.approx_mode is EstimateMode.COV_ONLY:
-        return rls_init(dim, lam)
-    return diag_init(dim, lam)
+    if config.inference is Inference.MEAN_AND_COV:
+        return diag_init(dim, lam)
+    return rls_init(dim, lam)
 
 
 def posterior_params(

@@ -52,7 +52,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = harness.load_config(args.config)
-    if args.grid:
+    if args.grid is not None:
         _, parse_grid = harness.CONFIG_KEYS["sweep", "gamma_grid"]
         grid = parse_grid(args.grid)
     elif config.gamma_grid:
@@ -113,15 +113,12 @@ def _cmd_adversarial(args: argparse.Namespace) -> int:
         trace_path = os.path.join(args.output_dir, "adversarial_traces.csv")
         harness.write_traces_csv({label: [ep.trace for ep in episodes]}, trace_path)
         budget_path = os.path.join(args.output_dir, "adversarial_budget.csv")
-        lines = ["step,alpha,divergence,bound,seed"]
-        for run_idx, ep in enumerate(episodes):
-            for t in range(len(ep.trace)):
-                lines.append(
-                    f"{t + 1},{float(ep.alpha)!r},{float(ep.divergences[t])!r},"
-                    f"{float(ep.analytic_bound)!r},{run_idx}"
-                )
-        with open(budget_path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = (
+            f"{t},{float(ep.alpha)!r},{float(div)!r},{float(ep.analytic_bound)!r},{run_idx}"
+            for run_idx, ep in enumerate(episodes)
+            for t, div in enumerate(ep.divergences, 1)
+        )
+        harness.write_csv(budget_path, "step,alpha,divergence,bound,seed", rows)
         print(f"  wrote traces: {trace_path}")
         print(f"  wrote budget: {budget_path}")
     return 0

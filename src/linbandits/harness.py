@@ -15,7 +15,7 @@ import configparser
 import math
 import os
 import re
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -30,7 +30,7 @@ from .environments import (
     make_instance,
     sample_arm_set,
 )
-from .linalg import ConfidenceParams, EstimateMode
+from .linalg import ConfidenceParams
 from .svgplot import LinePlot
 
 POLICY_NAMES = ("lints", "lints_approx", "linbucb", "linbucb_approx")
@@ -156,23 +156,19 @@ class ExperimentConfig:
             return ScaleMode.UNIT if kind is Kind.LINTS else ScaleMode.CONFIDENCE_RADIUS
         return ScaleMode(self.posterior_scale)
 
-    def policy_configs(self, gamma: float | None = None) -> list[PolicyConfig]:
-        g = self.gamma if gamma is None else gamma
+    def policy_configs(self) -> list[PolicyConfig]:
         conf = self.confidence()
         out = []
         for name in self.policies:
             kind = Kind.LINTS if name.startswith("lints") else Kind.LINBUCB
-            inference = (
-                Inference.APPROXIMATE if name.endswith("_approx") else Inference.EXACT
-            )
+            inference = Inference(self.approx_mode) if name.endswith("_approx") else Inference.EXACT
             out.append(
                 PolicyConfig(
                     kind=kind,
                     inference=inference,
                     confidence=conf,
                     horizon=self.horizon,
-                    gamma=g if kind is Kind.LINBUCB else None,
-                    approx_mode=EstimateMode(self.approx_mode),
+                    gamma=self.gamma if kind is Kind.LINBUCB else None,
                     scale_mode=self._scale_mode(kind),
                 )
             )
@@ -304,7 +300,6 @@ def save_config(config: ExperimentConfig, path: str) -> None:
 class AggregateResult:
     """Across-run mean and standard error of the cumulative regret."""
 
-    label: str
     mean_cumulative: np.ndarray
     stderr_cumulative: np.ndarray
     per_run_final: np.ndarray
@@ -313,8 +308,11 @@ class AggregateResult:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    labels: tuple[str, ...]
     traces: dict[str, list[RegretTrace]] = field(default_factory=dict)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.traces)
 
     def aggregate(self, label: str) -> AggregateResult:
         runs = np.stack([t.cumulative for t in self.traces[label]])
@@ -324,7 +322,6 @@ class ExperimentResult:
         else:
             stderr = np.zeros_like(mean)
         return AggregateResult(
-            label=label,
             mean_cumulative=mean,
             stderr_cumulative=stderr,
             per_run_final=runs[:, -1].copy(),
@@ -364,9 +361,7 @@ def _run_streams(config: ExperimentConfig, run_idx: int):
 ARM_BLOCK_BYTES = 1 << 20
 
 
-def _run_single(
-    config: ExperimentConfig, run_idx: int, gamma: float | None = None
-) -> dict[str, RegretTrace]:
+def _run_single(config: ExperimentConfig, run_idx: int) -> dict[str, RegretTrace]:
     """Step every policy through one run and return its regret traces.
 
     The run draws ``ARM_BLOCK_BYTES // (8·K·d)`` steps of arm sets (clipped
@@ -379,7 +374,7 @@ def _run_single(
     its policy and step.
     """
     instance = config.instance()
-    policy_configs = config.policy_configs(gamma)
+    policy_configs = config.policy_configs()
     arm_rng, noise_rng, policy_rngs = _run_streams(config, run_idx)
 
     t_max, k, d = config.horizon, config.n_arms, config.dim
@@ -417,20 +412,19 @@ def _run_single(
     }
 
 
-def run_experiment(config: ExperimentConfig, gamma: float | None = None) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every configured policy on paired streams across all seeds."""
-    labels = tuple(p.name for p in config.policy_configs(gamma))
-    result = ExperimentResult(config=config, labels=labels, traces={l: [] for l in labels})
+    result = ExperimentResult(config=config, traces={name: [] for name in config.policies})
     if config.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
             run_outputs = list(
-                pool.map(_run_single, [config] * config.n_runs, range(config.n_runs), [gamma] * config.n_runs)
+                pool.map(_run_single, [config] * config.n_runs, range(config.n_runs))
             )
     else:
-        run_outputs = [_run_single(config, i, gamma) for i in range(config.n_runs)]
+        run_outputs = [_run_single(config, i) for i in range(config.n_runs)]
     for traces in run_outputs:
-        for label in labels:
-            result.traces[label].append(traces[label])
+        for label, runs in result.traces.items():
+            runs.append(traces[label])
     return result
 
 
@@ -458,7 +452,7 @@ def sensitivity_sweep(config: ExperimentConfig, gamma_grid) -> list[SweepRow]:
     sweep = sweep_config(config, gamma_grid)
     rows: list[SweepRow] = []
     for g in sweep.gamma_grid:
-        result = run_experiment(sweep, gamma=g)
+        result = run_experiment(replace(sweep, gamma=g))
         for label, agg in result.aggregates().items():
             finals = agg.per_run_final
             stderr = (
@@ -485,58 +479,61 @@ def check_output_dir(path: str) -> None:
         raise PermissionError(f"output directory {path!r} is not writable")
 
 
+def write_csv(path: str, header: str, rows: Iterable[str]) -> None:
+    """Write the header line and one line per already formatted row, each
+    ending in a single newline."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
+
+
 def write_traces_csv(traces: Mapping[str, list[RegretTrace]], path: str) -> None:
     """One row per step of every run, labels in mapping order and runs in
     list order; the run's index in its list is its ``seed`` column."""
-    lines = ["step,instant_regret,cum_regret,policy,seed"]
-    for label, runs in traces.items():
-        for run_idx, trace in enumerate(runs):
-            for t in range(len(trace)):
-                lines.append(
-                    f"{t + 1},{_fmt_float(trace.instantaneous[t])},"
-                    f"{_fmt_float(trace.cumulative[t])},{label},{run_idx}"
-                )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        f"{t},{_fmt_float(inst)},{_fmt_float(cum)},{label},{run_idx}"
+        for label, runs in traces.items()
+        for run_idx, trace in enumerate(runs)
+        for t, (inst, cum) in enumerate(zip(trace.instantaneous, trace.cumulative), 1)
+    )
+    write_csv(path, "step,instant_regret,cum_regret,policy,seed", rows)
 
 
 def write_aggregate_csv(aggregates: dict[str, AggregateResult], path: str) -> None:
-    lines = ["step,mean,stderr,policy"]
-    for label, agg in aggregates.items():
-        for t in range(agg.mean_cumulative.shape[0]):
-            lines.append(
-                f"{t + 1},{_fmt_float(agg.mean_cumulative[t])},"
-                f"{_fmt_float(agg.stderr_cumulative[t])},{label}"
-            )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        f"{t},{_fmt_float(mean)},{_fmt_float(stderr)},{label}"
+        for label, agg in aggregates.items()
+        for t, (mean, stderr) in enumerate(zip(agg.mean_cumulative, agg.stderr_cumulative), 1)
+    )
+    write_csv(path, "step,mean,stderr,policy", rows)
 
 
-def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
-    lines = ["gamma,policy,mean_final_regret,stderr_final_regret"]
-    for row in rows:
-        lines.append(
-            f"{_fmt_float(row.gamma)},{row.label},"
-            f"{_fmt_float(row.mean_final)},{_fmt_float(row.stderr_final)}"
-        )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _output_paths(output_dir: str, **names: str) -> dict[str, str]:
+    """Check ``output_dir`` and place each named output in it, then the manifest."""
+    check_output_dir(output_dir)
+    return {
+        kind: os.path.join(output_dir, name)
+        for kind, name in {**names, "manifest": "manifest.cfg"}.items()
+    }
+
+
+def _write_plot_and_manifest(
+    plot: LinePlot, config: ExperimentConfig, paths: dict[str, str]
+) -> dict[str, str]:
+    with open(paths["plot"], "w", newline="\n") as fh:
+        fh.write(plot.render())
+    save_config(config, paths["manifest"])
+    return paths
 
 
 def emit_outputs(result: ExperimentResult, output_dir: str) -> dict[str, str]:
     """Write the per-run trace CSV, the aggregate CSV, the regret plot, and a
     manifest that reproduces the run byte-for-byte."""
-    check_output_dir(output_dir)
-    paths = {
-        "traces": os.path.join(output_dir, "traces.csv"),
-        "aggregate": os.path.join(output_dir, "aggregate.csv"),
-        "plot": os.path.join(output_dir, "regret.svg"),
-        "manifest": os.path.join(output_dir, "manifest.cfg"),
-    }
+    paths = _output_paths(
+        output_dir, traces="traces.csv", aggregate="aggregate.csv", plot="regret.svg"
+    )
     aggregates = result.aggregates()
     write_traces_csv(result.traces, paths["traces"])
     write_aggregate_csv(aggregates, paths["aggregate"])
-
     plot = LinePlot(
         title=f"mean cumulative regret ({result.config.name})",
         x_label="step",
@@ -545,28 +542,24 @@ def emit_outputs(result: ExperimentResult, output_dir: str) -> dict[str, str]:
     for label, agg in aggregates.items():
         steps = np.arange(1, agg.mean_cumulative.shape[0] + 1)
         plot.add(label, steps, agg.mean_cumulative, agg.stderr_cumulative)
-    with open(paths["plot"], "w", newline="\n") as fh:
-        fh.write(plot.render())
-
-    save_config(result.config, paths["manifest"])
-    return paths
+    return _write_plot_and_manifest(plot, result.config, paths)
 
 
 def emit_sweep_outputs(
     rows: list[SweepRow], config: ExperimentConfig, output_dir: str
 ) -> dict[str, str]:
-    check_output_dir(output_dir)
-    paths = {
-        "sweep": os.path.join(output_dir, "sweep.csv"),
-        "plot": os.path.join(output_dir, "sweep.svg"),
-        "manifest": os.path.join(output_dir, "manifest.cfg"),
-    }
-    write_sweep_csv(rows, paths["sweep"])
-    labels = sorted({row.label for row in rows})
+    """Write the sweep CSV, the final-regret-by-level plot, and the manifest."""
+    paths = _output_paths(output_dir, sweep="sweep.csv", plot="sweep.svg")
+    lines = (
+        f"{_fmt_float(row.gamma)},{row.label},"
+        f"{_fmt_float(row.mean_final)},{_fmt_float(row.stderr_final)}"
+        for row in rows
+    )
+    write_csv(paths["sweep"], "gamma,policy,mean_final_regret,stderr_final_regret", lines)
     plot = LinePlot(
         title="final regret by quantile level", x_label="gamma", y_label="mean final regret"
     )
-    for label in labels:
+    for label in sorted({row.label for row in rows}):
         sub = [row for row in rows if row.label == label]
         plot.add(
             label,
@@ -574,7 +567,4 @@ def emit_sweep_outputs(
             [row.mean_final for row in sub],
             [row.stderr_final for row in sub],
         )
-    with open(paths["plot"], "w", newline="\n") as fh:
-        fh.write(plot.render())
-    save_config(config, paths["manifest"])
-    return paths
+    return _write_plot_and_manifest(plot, config, paths)

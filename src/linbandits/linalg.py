@@ -13,7 +13,6 @@ the full inverse in the estimate as well as the covariance.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -178,27 +177,23 @@ def rls_update(state: RlsState, arm, reward: float) -> RlsState:
     )
 
 
-class EstimateMode(str, enum.Enum):
-    """Which parts of the posterior the diagonal inverse replaces."""
-
-    MEAN_AND_COV = "mean_and_cov"
-    COV_ONLY = "cov_only"
-
-
 @dataclass(frozen=True)
 class DiagonalApproxState:
     """Diagonal-of-the-design state for fast approximate inference.
 
     ``diag`` holds the diagonal entries of the exact design matrix (same
-    arithmetic stream, so they agree bitwise with a replayed full update);
-    ``diag_inv`` its elementwise reciprocals.
+    arithmetic stream, so they agree bitwise with a replayed full update).
     """
 
     dim: int
     step: int
     diag: np.ndarray
-    diag_inv: np.ndarray
     moment: np.ndarray
+
+    @property
+    def diag_inv(self) -> np.ndarray:
+        """Elementwise reciprocals of ``diag``."""
+        return 1.0 / self.diag
 
     @property
     def estimate(self) -> np.ndarray:
@@ -211,22 +206,17 @@ def diag_init(dim: int, lam: float) -> DiagonalApproxState:
         raise ValueError("dim must be a positive integer")
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lam must be a finite positive real")
-    diag = np.full(dim, float(lam))
-    return DiagonalApproxState(
-        dim=dim, step=0, diag=diag, diag_inv=1.0 / diag, moment=np.zeros(dim)
-    )
+    return DiagonalApproxState(dim=dim, step=0, diag=np.full(dim, float(lam)), moment=np.zeros(dim))
 
 
 def diag_update(state: DiagonalApproxState, arm, reward: float) -> DiagonalApproxState:
     """Absorb one pair into the diagonal state."""
     x = _as_vector(arm, state.dim, "arm")
     r = _check_reward(reward)
-    diag = state.diag + x * x
     return DiagonalApproxState(
         dim=state.dim,
         step=state.step + 1,
-        diag=diag,
-        diag_inv=1.0 / diag,
+        diag=state.diag + x * x,
         moment=state.moment + r * x,
     )
 

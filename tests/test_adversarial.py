@@ -159,18 +159,16 @@ def test_bucb_quantiles_order_and_unit_reweight():
     gamma = 0.9
     r = choose_r(2.0, 0.1, gamma)
     pair = wrap_bucb(pi, r, gamma)
-    q1, q2 = bucb_adversary_quantiles(pair, gamma)
+    q1, q2 = bucb_adversary_quantiles(pair)
     assert q1 == pair.b_t  # marginal preserved exactly
     assert bucb_second_marginal_cdf(pair, pair.b_t) <= 1.0 / r + 1e-9
     assert 1.0 / r < gamma
     assert q2 > q1
 
     near_unit = wrap_bucb(pi, 1.0 + 1e-9, gamma)
-    q1u, q2u = bucb_adversary_quantiles(near_unit, gamma)
+    q1u, q2u = bucb_adversary_quantiles(near_unit)
     exact_q2 = pi.arm_value_quantiles(np.array([[0.0, 1.0]]), gamma)[0]
     assert q2u == pytest.approx(exact_q2, abs=1e-6)
-    with pytest.raises(ValueError):
-        bucb_adversary_quantiles(pair, 0.8)
 
 
 def test_bucb_divergence_certificate():
@@ -191,13 +189,13 @@ def test_bucb_deep_tail_quantile_stays_above_cut():
     pi = _posterior(mean=(0.0, 0.02), scale=1.0, cov=[[1.0, 0.0], [0.0, 0.0004]])
     gamma = 0.9
     pair = wrap_bucb(pi, 1.15, gamma)
-    q1, q2 = bucb_adversary_quantiles(pair, gamma)
+    q1, q2 = bucb_adversary_quantiles(pair)
     assert pair.b_t > 1.0  # cut sits ~64 conditional sds above the mean
     assert q2 > q1
 
 
-def _quantile_choice(pair, gamma) -> int:
-    q1, q2 = bucb_adversary_quantiles(pair, gamma)
+def _quantile_choice(pair) -> int:
+    q1, q2 = bucb_adversary_quantiles(pair)
     return 0 if q1 >= q2 else 1
 
 
@@ -208,9 +206,10 @@ def test_bucb_choice_matches_the_quantile_comparison_over_episodes(monkeypatch, 
     # arms are chosen, some steps within 1e-5 of the level
     chosen = []
 
-    def checked(pair, level):
-        idx = bucb_adversary_choice(pair, level)
-        assert idx == _quantile_choice(pair, level)
+    def checked(pair):
+        assert pair.gamma == gamma
+        idx = bucb_adversary_choice(pair)
+        assert idx == _quantile_choice(pair)
         chosen.append(idx)
         return idx
 
@@ -230,17 +229,15 @@ def test_bucb_choice_when_the_cut_already_holds_the_level():
     pi = _posterior(mean=(0.0, -3.0))
     pair = wrap_bucb(pi, 1.05, 0.9)
     assert bucb_second_marginal_cdf(pair, pair.b_t) >= 0.9
-    q1, q2 = bucb_adversary_quantiles(pair, 0.9)
+    q1, q2 = bucb_adversary_quantiles(pair)
     assert q2 < q1 == pair.b_t
-    assert bucb_adversary_choice(pair, 0.9) == 0
+    assert bucb_adversary_choice(pair) == 0
 
     above = wrap_bucb(_posterior(mean=(0.0, 3.0)), 1.05, 0.9)
     assert bucb_second_marginal_cdf(above, above.b_t) < 0.9
-    assert bucb_adversary_choice(above, 0.9) == _quantile_choice(above, 0.9) == 1
-    with pytest.raises(ValueError, match="gamma must match"):
-        bucb_adversary_choice(pair, 0.8)
+    assert bucb_adversary_choice(above) == _quantile_choice(above) == 1
     with pytest.raises(ValueError, match="quantile adversary"):
-        bucb_adversary_choice(wrap_ts(pi, 1.05), 0.9)
+        bucb_adversary_choice(wrap_ts(pi, 1.05))
 
 
 def test_bucb_choice_reads_the_cut_once_and_ties_to_the_first_arm(monkeypatch):
@@ -253,9 +250,9 @@ def test_bucb_choice_reads_the_cut_once_and_ties_to_the_first_arm(monkeypatch):
         return min(max(0.9 + 0.1 * (value - p.b_t), 0.0), 1.0)
 
     monkeypatch.setattr(adversarial, "bucb_second_marginal_cdf", level_at_cut)
-    assert bucb_adversary_choice(pair, 0.9) == 0
+    assert bucb_adversary_choice(pair) == 0
     assert evaluated == [pair.b_t]
-    assert bucb_adversary_quantiles(pair, 0.9) == (pair.b_t, pair.b_t)
+    assert bucb_adversary_quantiles(pair) == (pair.b_t, pair.b_t)
 
 
 def test_wrap_validation():
@@ -268,7 +265,7 @@ def test_wrap_validation():
         wrap_ts(GaussianPosterior(np.zeros(3), 1.0, np.eye(3)), 1.1)
     pair = wrap_ts(pi, 1.1)
     with pytest.raises(ValueError):
-        bucb_adversary_quantiles(pair, 0.9)
+        bucb_adversary_quantiles(pair)
     assert pair.construction is Construction.TS_REGION_REWEIGHT
 
 

@@ -19,7 +19,6 @@ from linbandits.harness import ExperimentConfig, run_experiment, write_traces_cs
 from linbandits.linalg import (
     ConfidenceParams,
     DiagonalApproxState,
-    EstimateMode,
     RlsState,
     diag_init,
     diag_update,
@@ -109,25 +108,42 @@ def test_first_update_builds_identity_plus_outer():
 
 
 def test_exact_and_approximate_share_design_diagonal():
-    exact = _lints()
-    approx = _lints(inference=Inference.APPROXIMATE, approx_mode=EstimateMode.MEAN_AND_COV)
-    se, sa = init_policy(exact, 3), init_policy(approx, 3)
-    assert isinstance(sa, DiagonalApproxState)
+    # every inference value steps its one state through the same stream; the
+    # approximations read the exact design diagonal bit for bit
+    configs = {inference: _lints(inference=inference) for inference in Inference}
+    states = {inference: init_policy(config, 3) for inference, config in configs.items()}
+    assert {inference: type(state) for inference, state in states.items()} == {
+        Inference.EXACT: RlsState,
+        Inference.COV_ONLY: RlsState,
+        Inference.MEAN_AND_COV: DiagonalApproxState,
+    }
     rng = np.random.default_rng(2)
     for _ in range(30):
         arm = rng.standard_normal(3)
         arm /= max(1.0, np.linalg.norm(arm))
         r = float(rng.normal())
-        se = update(se, arm, r)
-        sa = update(sa, arm, r)
-    assert np.array_equal(sa.diag, np.diag(se.design))
+        states = {inference: update(state, arm, r) for inference, state in states.items()}
+    se = states[Inference.EXACT]
+    assert np.array_equal(states[Inference.MEAN_AND_COV].diag, np.diag(se.design))
+    diag_inv = 1.0 / np.diagonal(se.design)
+    expected = {
+        Inference.EXACT: (se.estimate, se.design_inv),
+        Inference.COV_ONLY: (se.estimate, diag_inv),
+        Inference.MEAN_AND_COV: (diag_inv * se.moment, diag_inv),
+    }
+    exact_scale = posterior_params(se, configs[Inference.EXACT])[1]
+    for inference, (mean, cov) in expected.items():
+        got_mean, scale, got_cov = posterior_params(states[inference], configs[inference])
+        assert got_mean.tobytes() == mean.tobytes(), inference
+        assert got_cov.tobytes() == cov.tobytes(), inference
+        assert scale == exact_scale
 
 
 def test_cov_only_mode_keeps_exact_mean():
     # one design state: the exact mean, with the covariance read off the
     # design diagonal bit for bit as a replayed diagonal-state chain has it
     exact = _lints()
-    config = _lints(inference=Inference.APPROXIMATE, approx_mode=EstimateMode.COV_ONLY)
+    config = _lints(inference=Inference.COV_ONLY)
     se, state = init_policy(exact, 2), init_policy(config, 2)
     assert isinstance(state, RlsState)
     diag = diag_init(2, config.confidence.lam)
@@ -290,8 +306,7 @@ def test_linbucb_requires_gamma():
 
 
 def test_arm_dimension_checked_against_the_state():
-    approx = dict(inference=Inference.APPROXIMATE, approx_mode=EstimateMode.MEAN_AND_COV)
-    for config in (_lints(), _linbucb(), _lints(**approx)):
+    for config in [_lints(inference=inference) for inference in Inference] + [_linbucb()]:
         state = init_policy(config, 3)
         with pytest.raises(ValueError, match="arms have dimension 2, expected 3"):
             select_arm(state, config, np.ones((4, 2)), np.random.default_rng(0))

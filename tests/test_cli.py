@@ -63,6 +63,53 @@ def test_sweep_grid_from_the_file_keeps_the_manifest_bytes(tmp_path, capsys):
         assert (tmp_path / "out" / "manifest.cfg").read_bytes() == fh.read()
 
 
+# SHA-256 of sweep.csv and sweep.svg per approx_mode, and of manifest.cfg per
+# (approx_mode, workers), for `sweep-gamma --grid 0.5,0.7,0.9` on _SWEEP_GOLDEN
+_SWEEP_GOLDEN_OUTPUTS = {
+    "cov_only": (
+        "fbc25b850216b76f488dec1e23eadf30c8de3d90831c712bf6c675613c0a4aaa",
+        "e422f45e7a90149c15669066ff4064026cf686baea5d5703f3a5fb98c57a7eb3",
+    ),
+    "mean_and_cov": (
+        "59a0db62d07ab0d1a290c25b54e8d43d60f0b613c29a6a3a29684b005b0d3648",
+        "d8f304e5c07d32629e770d981f54b48f9374983d5478f9d5713ce4713bcfd155",
+    ),
+}
+_SWEEP_GOLDEN_MANIFESTS = {
+    ("cov_only", 1): "485c7c1e70c37951ab4936b619839a69838db2d0be03df25bc9bfd076dd8922d",
+    ("cov_only", 2): "fb307df38382aefe4de2dc5285604c214a40f9a23425c15add79a41ac7db0c75",
+    ("mean_and_cov", 1): "909340168fc54fde6d0b3ae128551b68650cb9dce90b298d46cb44dfbaa931c3",
+    ("mean_and_cov", 2): "a22fe3bce84f95a0ee86b4ffcb3aec2c6a4f7e12559dafe03bad53b58a45c937",
+}
+_SWEEP_GOLDEN = dict(
+    family="P3",
+    dim=3,
+    n_arms=3,
+    horizon=20,
+    n_runs=3,
+    base_seed=20240601,
+    instance_seed=7,
+    policies=("lints", "linbucb", "linbucb_approx"),
+    output_dir="out",
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("approx_mode", ["cov_only", "mean_and_cov"])
+def test_sweep_outputs_are_pinned(tmp_path, capsys, monkeypatch, approx_mode, workers):
+    # a relative output_dir keeps the manifest bytes independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    config = ExperimentConfig(**_SWEEP_GOLDEN, approx_mode=approx_mode, workers=workers)
+    save_config(config, "sweep.cfg")
+    assert main(["sweep-gamma", "sweep.cfg", "--grid", "0.5,0.7,0.9"]) == 0
+    digests = [
+        hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in ("sweep.csv", "sweep.svg", "manifest.cfg")
+    ]
+    assert tuple(digests[:2]) == _SWEEP_GOLDEN_OUTPUTS[approx_mode]
+    assert digests[2] == _SWEEP_GOLDEN_MANIFESTS[approx_mode, workers]
+
+
 def test_sweep_requires_grid(tmp_path, capsys):
     path = _write_config(tmp_path, policies=("linbucb",))
     assert main(["sweep-gamma", path]) == 2
@@ -316,6 +363,16 @@ def test_sweep_bad_grid_entry_is_one_line(tmp_path, capsys):
     path = _write_config(tmp_path, policies=("linbucb",))
     assert main(["sweep-gamma", path, "--grid", "0.5,x"]) == 2
     assert capsys.readouterr().err.startswith("linbandits sweep-gamma: error: could not convert")
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("grid", ["", " "], ids=["empty", "blank"])
+def test_sweep_empty_grid_does_not_fall_back_to_the_file(tmp_path, capsys, grid):
+    path = _write_config(tmp_path, policies=("linbucb",), gamma_grid=(0.5, 0.7))
+    assert main(["sweep-gamma", path, "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("linbandits sweep-gamma: error: could not convert")
+    assert err.count("\n") == 1
     assert not os.path.exists(tmp_path / "out")
 
 

@@ -372,7 +372,7 @@ def test_empty_results_produce_headers_only(tmp_path):
     from linbandits.harness import ExperimentResult
 
     config = _tiny()
-    empty = ExperimentResult(config=config, labels=(), traces={})
+    empty = ExperimentResult(config=config, traces={})
     paths = emit_outputs(empty, str(tmp_path / "empty"))
     assert open(paths["traces"]).read() == "step,instant_regret,cum_regret,policy,seed\n"
     assert open(paths["aggregate"]).read() == "step,mean,stderr,policy\n"
