@@ -309,16 +309,22 @@ def _quadrature(p1, p2, alpha: float, tolerance: float) -> tuple[float, float]:
 def _monte_carlo(
     p1, p2, alpha: float, n: int, rng: np.random.Generator
 ) -> tuple[float, float]:
+    # log-ratios in place, in the operand order of the plain expressions
     if alpha == 0.0:
         draws = p2.sample(n, rng)
-        vals = p2.logpdf(draws) - p1.logpdf(draws)
+        vals = p2.logpdf(draws)
+        vals -= p1.logpdf(draws)
         return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
     if alpha == 1.0:
         draws = p1.sample(n, rng)
-        vals = p1.logpdf(draws) - p2.logpdf(draws)
+        vals = p1.logpdf(draws)
+        vals -= p2.logpdf(draws)
         return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
     draws = p1.sample(n, rng)
-    ratios = np.exp((1.0 - alpha) * (p2.logpdf(draws) - p1.logpdf(draws)))
+    ratios = p2.logpdf(draws)
+    ratios -= p1.logpdf(draws)
+    ratios *= 1.0 - alpha
+    np.exp(ratios, out=ratios)
     denom = alpha * (alpha - 1.0)
     mean = float(np.mean(ratios))
     se = float(np.std(ratios, ddof=1) / math.sqrt(n))

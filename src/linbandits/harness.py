@@ -122,10 +122,8 @@ class ExperimentConfig:
             raise ValueError("family P3 requires instance_seed")
         if self.family == "custom" and self.theta is None:
             raise ValueError("family custom requires theta")
-        self.confidence()  # last: it builds the instance that the checks above allow
-
-    def instance(self) -> BanditInstance:
-        return make_instance(
+        # last: the checks above allow the instance, built once per config
+        instance = make_instance(
             self.family,
             self.dim,
             self.n_arms,
@@ -133,6 +131,11 @@ class ExperimentConfig:
             seed=self.instance_seed,
             theta=self.theta,
         )
+        object.__setattr__(self, "_instance", instance)
+        self.confidence()
+
+    def instance(self) -> BanditInstance:
+        return self._instance
 
     def resolved_s_bound(self) -> float:
         if self.s_bound == "auto":

@@ -116,10 +116,17 @@ class GaussianPosterior:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` draws ``mean + scale * C^(1/2) z`` as an (n, d) array;
         deterministic given the rng state."""
-        z = rng.standard_normal((n, self.dim))
+        # in place; IEEE * and + commute, so the bits are those of
+        # mean + scale * z * sqrt and mean + scale * (z @ sqrt.T)
+        out = rng.standard_normal((n, self.dim))
         if self.is_diagonal:
-            return self.mean + self.scale * z * self._sqrt
-        return self.mean + self.scale * (z @ self._sqrt.T)
+            out *= self.scale
+            out *= self._sqrt
+        else:
+            out = out @ self._sqrt.T
+            out *= self.scale
+        out += self.mean
+        return out
 
     def arm_value_quantiles(self, arms: np.ndarray, gamma: float) -> np.ndarray:
         """Closed-form gamma-quantiles of the scalar laws ``a_i . theta``
@@ -164,15 +171,22 @@ class GaussianPosterior:
         reciprocal for several.)
         """
         if self.dim == 1:
-            if not isinstance(x, float):
-                x = np.asarray(x, dtype=float)
-                # flat arrays and (n, 1) columns are n scalar points
-                if x.ndim > 2 or (x.ndim == 2 and x.shape[1] != 1):
-                    raise ValueError("univariate points must be a flat or an (n, 1) array")
-                x = x.reshape(-1)
             mu, sd = self._scalar
-            z = (x - mu) / sd
-            return -0.5 * (z * z) - 0.5 * self._logdet - _LOG_SQRT_2PI
+            if isinstance(x, float):
+                z = (x - mu) / sd
+                return -0.5 * (z * z) - 0.5 * self._logdet - _LOG_SQRT_2PI
+            x = np.asarray(x, dtype=float)
+            # flat arrays and (n, 1) columns are n scalar points
+            if x.ndim > 2 or (x.ndim == 2 and x.shape[1] != 1):
+                raise ValueError("univariate points must be a flat or an (n, 1) array")
+            # the float path's operations, in place on one array
+            z = x.reshape(-1) - mu
+            z /= sd
+            z *= z
+            z *= -0.5
+            z -= 0.5 * self._logdet
+            z -= _LOG_SQRT_2PI
+            return z
         diff = np.atleast_2d(np.asarray(x, dtype=float)) - self.mean
         sol = scipy.linalg.solve_triangular(self._chol, diff.T, lower=True, check_finite=False)
         quad = np.sum(sol * sol, axis=0)
@@ -387,34 +401,48 @@ def _rows_within(row_bytes: int, budget: int) -> int:
     return min(_CHUNK, max(_TILE, budget // row_bytes // _TILE * _TILE))
 
 
+def _block_rows(dim: int, temp_row_bytes: int) -> tuple[int, int]:
+    """Rows of a chunk and of a block of ``_for_each_block``."""
+    rows = _rows_within(8 * dim, _CHUNK_BYTES)
+    return rows, min(rows, _rows_within(temp_row_bytes, _CHUNK_BYTES // 2))
+
+
 def _for_each_block(
     sampler: Sampler,
     samples: int,
     dim: int,
     rng: np.random.Generator,
-    visit: Callable[[int, np.ndarray], None],
-    temp_row_bytes: int | None = None,
+    visit: Callable[[int, int, np.ndarray], None],
+    temp_row_bytes: int,
 ) -> None:
     """Draw ``samples`` rows of ``sampler`` and pass consecutive row blocks
-    to ``visit(start, block)``, ``start`` being the block's first row.
+    to ``visit(start, count, block)``: ``block`` holds the ``count`` rows
+    from row ``start`` on, then zero rows up to the one block shape of the
+    call, so every product over a block is one GEMM shape.
 
     A sampler call draws one chunk of at most ``_CHUNK_BYTES``: 50,000 rows
-    at every dim <= 20, 5,232 at dim 200. A block is the whole chunk or,
-    given ``temp_row_bytes``, the rows whose temporaries fit half the
-    budget. Neither the rng stream nor, as boundaries fall on whole tiles,
-    any row's BLAS dot products depend on that split. Raises ValueError when
-    a chunk is not ``(n, dim)``, before the next draw.
+    at every dim <= 20, 5,232 at dim 200. A block is the rows of a chunk
+    whose temporaries, ``temp_row_bytes`` a row, fit half the budget.
+    Neither the rng stream nor any row's BLAS dot products depend on
+    that split: boundaries fall on whole tiles, and a short block is padded
+    to the full shape, since OpenBLAS rounds a small product (a gemv for one
+    row) differently. Raises ValueError when a chunk is not ``(n, dim)``,
+    before the next draw.
     """
-    rows = _rows_within(8 * dim, _CHUNK_BYTES)
-    step = rows if temp_row_bytes is None else _rows_within(temp_row_bytes, _CHUNK_BYTES // 2)
+    rows, step = _block_rows(dim, temp_row_bytes)
     for start in range(0, samples, rows):
         n = min(rows, samples - start)
         eta = sampler(n, rng)
         if np.shape(eta) != (n, dim):
             raise ValueError(f"sampler returned shape {np.shape(eta)} for {n} draws of dim {dim}")
         for i in range(0, n, step):
-            visit(start + i, eta[i : i + step])
-        del eta  # two chunks are never alive at once
+            count = min(step, n - i)
+            block = eta[i : i + count]
+            if count < step:
+                block = np.zeros((step, dim))
+                block[:count] = eta[i:]
+            visit(start + i, count, block)
+        del eta, block  # two chunks are never alive at once
 
 
 def certify_anti_concentration(
@@ -436,9 +464,9 @@ def certify_anti_concentration(
 
     hits = np.zeros(directions, dtype=np.int64)
 
-    def count(start: int, eta: np.ndarray) -> None:
+    def count(start: int, rows: int, eta: np.ndarray) -> None:
         nonlocal hits
-        hits += np.count_nonzero(eta @ u.T >= 1.0, axis=0)
+        hits += np.count_nonzero((eta @ u.T)[:rows] >= 1.0, axis=0)
 
     # a block's projections (8 bytes each) and their mask (1 byte each)
     _for_each_block(sampler, samples, dim, rng, count, temp_row_bytes=9 * directions)
@@ -451,44 +479,87 @@ def certify_anti_concentration(
     )
 
 
-def _max_row_quantile(rows: np.ndarray, level: float) -> float:
-    """``float(np.max(np.quantile(rows, level, axis=1)))`` bit for bit, but
-    partitioning (in place; ``rows`` is scratch) only the rows that can hold
-    the maximum.
+class _UpperTails:
+    """The largest values of each of ``rows`` rows of ``n`` values that
+    arrive in column blocks of at most ``block``: all that numpy's linear
+    quantile at ``level`` reads of a row.
 
-    numpy's linear quantile of a row lies between its order statistics k and
-    k + 1, k = floor((n - 1) * level), as long as no entry is NaN or infinite
-    and no difference of two entries overflows. So once some row's quantile B
-    is known, a row with fewer than n - j entries >= B has its order
-    statistic j, and so its quantile, below B. j = k + 2 (at most n - 1) is
-    one above numpy's upper neighbour, so a rounding difference in the
-    virtual index cannot make the skip unsafe. Rows are tried by descending
-    count against row 0's quantile and recounted against the best so far.
-    If any entry is NaN or infinite, or a row's spread overflows, no row is
-    skipped. A skipped row enters the final maximum as -inf, below the
-    quantile it stands for, so the maximum is the same value.
+    numpy's quantile of a row interpolates between its order statistics k
+    and k + 1 (the maximum alone when k = n - 1), k = floor((n - 1) * level),
+    so each row keeps its m = n - k largest values. A block's values are
+    filtered against the row's running m-th largest with ``~(x <= floor)``,
+    so a NaN (numpy sorts it last) is always kept, and a row is partitioned
+    back to m values only when its buffer of min(n, m + max(block, m // 2))
+    fills.
     """
-    m, n = rows.shape
 
-    def row_quantile(i: int) -> float:
-        # a one-row slice goes through the same numpy code as the full call
-        return np.quantile(rows[i : i + 1], level, axis=1, overwrite_input=True)[0]
+    def __init__(self, rows: int, n: int, level: float, block: int) -> None:
+        self._n, self._level = n, level
+        self._k = math.floor((n - 1) * level)  # numpy's index, same rounding
+        self._m = n - self._k
+        self._buf = np.empty((rows, min(n, self._m + max(block, self._m // 2))))
+        self._fill = [0] * rows
+        self._floor = [math.nan] * rows  # NaN keeps every value
 
-    quantiles = np.full(m, -np.inf)
-    quantiles[0] = best = row_quantile(0)
-    need = n - min(math.floor((n - 1) * level) + 2, n - 1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        if not np.all(np.isfinite(np.max(rows, axis=1) - np.min(rows, axis=1))):
-            need = 0  # the lerp bound may fail: partition every row
-    # one row at a time: a mask of every row would be an eighth of ``rows``
-    counts = np.array([np.count_nonzero(row >= best) for row in rows])
-    for i in np.argsort(-counts):
-        if counts[i] < need:
-            break  # every later row has no more entries >= B than this one
-        if i != 0 and np.count_nonzero(rows[i] >= best) >= need:
-            quantiles[i] = q = row_quantile(i)
-            best = max(best, q)
-    return float(np.max(quantiles))
+    def add(self, values: np.ndarray) -> None:
+        """Take the next ``(rows, count)`` block of values."""
+        for i, row in enumerate(values):
+            keep = np.flatnonzero(~(row <= self._floor[i]))
+            if self._fill[i] + keep.size > self._buf.shape[1]:
+                self._shrink(i)
+            fill = self._fill[i]
+            np.take(row, keep, out=self._buf[i, fill : fill + keep.size])
+            self._fill[i] = fill + keep.size
+
+    def _shrink(self, i: int) -> None:
+        """Keep row ``i``'s m largest values, at the front of its buffer."""
+        fill, m = self._fill[i], self._m
+        row = self._buf[i, :fill]
+        row.partition(fill - m)
+        row[:m] = row[fill - m :]
+        self._fill[i] = m
+        self._floor[i] = row[0]
+
+    def max_quantile(self) -> float:
+        """``float(np.max(np.quantile(rows, level, axis=1)))`` over the rows
+        seen, bit for bit.
+
+        A row's quantile is numpy's own, of a length-n row rebuilt as its
+        order statistic k repeated k times and then its m largest values:
+        the same order statistics k and k + 1, so the same interpolation.
+        Only candidate rows are rebuilt. When every row's statistics k and
+        k + 1 are finite and differ by a finite amount, each interpolation
+        lies between them, so a row whose statistic k + 1 is below the
+        largest statistic k has its quantile below the maximum, enters it as
+        -inf, and leaves it the same value. Otherwise every row is rebuilt;
+        a NaN anywhere makes the maximum NaN.
+
+        One thing no row kept this way can reproduce is which of several
+        tied zeros of both signs numpy's partition leaves at an order
+        statistic; numpy's own quantile of a zero can change sign when the
+        row is permuted, and so can this one.
+        """
+        k, m = self._k, self._m
+        tails = []
+        for row, fill in zip(self._buf, self._fill):
+            row = row[:fill]
+            row.partition(fill - m)  # statistic k first, then the larger ones
+            tail = row[fill - m :]
+            if math.isnan(tail.max()):
+                return math.nan
+            tails.append(tail)
+        lo = np.array([tail[0] for tail in tails])
+        hi = np.array([tail[min(1, m - 1) :].min() for tail in tails])
+        with np.errstate(invalid="ignore", over="ignore"):
+            bounded = bool(np.all(np.isfinite(hi - lo)))
+        rows = (hi >= lo.max()).nonzero()[0] if bounded else range(len(tails))
+        quantiles = np.full(len(tails), -np.inf)
+        rebuilt = np.empty((1, self._n))
+        for i in rows:
+            rebuilt[0, :k] = lo[i]
+            rebuilt[0, k:] = tails[i]
+            quantiles[i] = np.quantile(rebuilt, self._level, axis=1, overwrite_input=True)[0]
+        return float(np.max(quantiles))
 
 
 def certify_concentration_type2(
@@ -504,14 +575,16 @@ def certify_concentration_type2(
     the ambient dimension; that dimension-freeness is exactly what callers
     probe with this function.
 
-    Holds every projection at once, one row per direction: directions x
-    samples x 8 bytes (102 MB at the defaults). That buffer is the floor of
-    the certificate's memory, and what makes it exact: only the rows that
-    can hold the maximum are partitioned there (see ``_max_row_quantile``),
-    and the result is exactly the maximum of every row's quantile, not an
-    approximation. Besides it, the call holds one chunk of draws of at most
-    ``_CHUNK_BYTES`` (8 MiB; see ``_for_each_block``), whose projections are
-    written straight into the buffer.
+    Exactly the maximum of every direction's quantile, not an
+    approximation, without holding every projection: numpy's quantile reads
+    only two order statistics of a row, so each direction keeps its
+    m = samples - floor((samples - 1) * (1 - delta)) largest projections
+    (see ``_UpperTails``). Besides one chunk of draws of at most
+    ``_CHUNK_BYTES`` (8 MiB; see ``_for_each_block``), the call holds one
+    reused directions x block product and directions x (m + max(block,
+    m // 2)) kept projections: at the defaults about 9 MB at
+    delta = 0.05 and 38 MB at delta = 0.25, in place of the directions x
+    samples x 8 bytes (102 MB) of every projection.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -521,14 +594,17 @@ def certify_concentration_type2(
     dim = _probe_dim(sampler, rng)
     u = _unit_directions(dim, directions, rng)
 
-    projections = np.empty((directions, samples))
+    temp_row_bytes = 8 * directions  # a block's projections
+    block = _block_rows(dim, temp_row_bytes)[1]
+    tails = _UpperTails(directions, samples, 1.0 - delta, block)
+    projections = np.empty((directions, block))
 
-    def project(start: int, eta: np.ndarray) -> None:
-        # row-strided with unit inner stride, so the product is still one GEMM
-        np.matmul(u, eta.T, out=projections[:, start : start + eta.shape[0]])
+    def project(start: int, rows: int, eta: np.ndarray) -> None:
+        np.matmul(u, eta.T, out=projections)
+        tails.add(projections[:, :rows])
 
-    _for_each_block(sampler, samples, dim, rng, project)
-    return _max_row_quantile(projections, 1.0 - delta)
+    _for_each_block(sampler, samples, dim, rng, project, temp_row_bytes)
+    return tails.max_quantile()
 
 
 def certify_concentration_type1(
@@ -552,8 +628,8 @@ def certify_concentration_type1(
 
     norms = np.empty(samples)
 
-    def norm(start: int, eta: np.ndarray) -> None:
-        norms[start : start + eta.shape[0]] = np.linalg.norm(eta, axis=1)
+    def norm(start: int, rows: int, eta: np.ndarray) -> None:
+        norms[start : start + rows] = np.linalg.norm(eta[:rows], axis=1)
 
     # np.linalg.norm squares a block first: 8 bytes per entry
     _for_each_block(sampler, samples, dim, rng, norm, temp_row_bytes=8 * dim)

@@ -163,6 +163,34 @@ def test_monte_carlo_tracks_closed_form():
         assert abs(mc.value - exact.value) < 3 * mc.error_estimate
 
 
+def _plain_monte_carlo(p1, p2, alpha, n, rng):
+    """The Monte-Carlo estimate as plain expressions, each one a new array."""
+    if alpha in (0.0, 1.0):
+        p, q = (p2, p1) if alpha == 0.0 else (p1, p2)
+        draws = p.sample(n, rng)
+        vals = p.logpdf(draws) - q.logpdf(draws)
+        return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
+    draws = p1.sample(n, rng)
+    ratios = np.exp((1.0 - alpha) * (p2.logpdf(draws) - p1.logpdf(draws)))
+    denom = alpha * (alpha - 1.0)
+    se = float(np.std(ratios, ddof=1) / math.sqrt(n))
+    return (float(np.mean(ratios)) - 1.0) / denom, se / abs(denom)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_monte_carlo_keeps_the_bits_of_the_plain_expressions(dim):
+    rng = np.random.default_rng(31)
+    base = rng.standard_normal((dim, dim))
+    g1 = GaussianPosterior(rng.standard_normal(dim), 1.3, base @ base.T + np.eye(dim))
+    g2 = GaussianPosterior(rng.standard_normal(dim), 0.8, rng.random(dim) + 0.5)
+    for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0):
+        got = alpha_divergence(
+            g1, g2, alpha, Method.MONTE_CARLO, rng=np.random.default_rng(32), mc_samples=5_000
+        )
+        want = _plain_monte_carlo(g1, g2, alpha, 5_000, np.random.default_rng(32))
+        assert (got.value.hex(), got.error_estimate.hex()) == tuple(x.hex() for x in want)
+
+
 @pytest.mark.parametrize("mc_samples", [0, 1, 1000.5, -5])
 def test_monte_carlo_rejects_bad_sample_count_before_drawing(mc_samples):
     # 0 draws gave value nan and 1 draw error_estimate nan, without a word

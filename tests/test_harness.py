@@ -286,6 +286,24 @@ def test_runs_are_reproducible():
             assert np.array_equal(ta.instantaneous, tb.instantaneous)
 
 
+def test_each_config_builds_its_instance_once(monkeypatch):
+    from linbandits import harness
+
+    calls = []
+    make_instance = harness.make_instance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make_instance(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_instance", counted)
+    config = _tiny()
+    run_experiment(config)  # three runs of two policies
+    assert len(calls) == 1
+    sensitivity_sweep(config, (0.5, 0.6, 0.7))
+    assert len(calls) == 1 + 1 + 3  # the sweep's config and one per level
+
+
 def test_environment_streams_do_not_depend_on_policy_set():
     # paired comparisons need the arm/noise streams to be a function of the
     # run seed alone, not of which policies run on them
