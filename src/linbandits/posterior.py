@@ -115,13 +115,23 @@ class GaussianPosterior:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` draws ``mean + scale * C^(1/2) z`` as an (n, d) array;
-        deterministic given the rng state."""
+        deterministic given the rng state.
+
+        A dense 1 x 1 law multiplies by its square root instead of taking a
+        K=1 matrix product, with the same bits: the product rounds each
+        entry once, accumulating ``z * sqrt`` onto +0, so the one
+        difference is a draw whose ``z * sqrt`` is exactly -0 landing on a
+        mean of -0.0, which now gives -0.0 where the product gave +0.0.
+        """
         # in place; IEEE * and + commute, so the bits are those of
         # mean + scale * z * sqrt and mean + scale * (z @ sqrt.T)
         out = rng.standard_normal((n, self.dim))
         if self.is_diagonal:
             out *= self.scale
             out *= self._sqrt
+        elif self.dim == 1:
+            out *= self._sqrt[0, 0]
+            out *= self.scale
         else:
             out = out @ self._sqrt.T
             out *= self.scale
@@ -480,24 +490,35 @@ def certify_anti_concentration(
 
 
 class _UpperTails:
-    """The largest values of each of ``rows`` rows of ``n`` values that
-    arrive in column blocks of at most ``block``: all that numpy's linear
-    quantile at ``level`` reads of a row.
+    """The largest values of each of up to ``rows`` rows of ``n`` values
+    that arrive in column blocks of at most ``block``: all that numpy's
+    linear quantile at ``level`` reads of a row.
 
     numpy's quantile of a row interpolates between its order statistics k
     and k + 1 (the maximum alone when k = n - 1), k = floor((n - 1) * level),
     so each row keeps its m = n - k largest values. A block's values are
     filtered against the row's running m-th largest with ``~(x <= floor)``,
     so a NaN (numpy sorts it last) is always kept, and a row is partitioned
-    back to m values only when its buffer of min(n, m + max(block, m // 2))
-    fills.
+    back to m values only when its buffer of ``width(n, level, block)`` =
+    min(n, m + max(block, m // 2)) fills. ``reset`` starts over on new rows
+    in the same buffer.
     """
 
     def __init__(self, rows: int, n: int, level: float, block: int) -> None:
         self._n, self._level = n, level
         self._k = math.floor((n - 1) * level)  # numpy's index, same rounding
         self._m = n - self._k
-        self._buf = np.empty((rows, min(n, self._m + max(block, self._m // 2))))
+        self._buf = np.empty((rows, self.width(n, level, block)))
+        self.reset(rows)
+
+    @staticmethod
+    def width(n: int, level: float, block: int) -> int:
+        """Values a row's buffer holds."""
+        m = n - math.floor((n - 1) * level)
+        return min(n, m + max(block, m // 2))
+
+    def reset(self, rows: int) -> None:
+        """Forget every value seen and take the next ``rows`` rows."""
         self._fill = [0] * rows
         self._floor = [math.nan] * rows  # NaN keeps every value
 
@@ -520,9 +541,11 @@ class _UpperTails:
         self._fill[i] = m
         self._floor[i] = row[0]
 
-    def max_quantile(self) -> float:
-        """``float(np.max(np.quantile(rows, level, axis=1)))`` over the rows
-        seen, bit for bit.
+    def quantiles(self) -> np.ndarray:
+        """numpy's quantile of each row seen, or -inf where a row's quantile
+        is below another row's, or all NaN when a row holds a NaN: so
+        ``np.max`` of it is ``np.max(np.quantile(rows, level, axis=1))``
+        bit for bit, also over the rows of several ``reset`` groups.
 
         A row's quantile is numpy's own, of a length-n row rebuilt as its
         order statistic k repeated k times and then its m largest values:
@@ -530,9 +553,9 @@ class _UpperTails:
         Only candidate rows are rebuilt. When every row's statistics k and
         k + 1 are finite and differ by a finite amount, each interpolation
         lies between them, so a row whose statistic k + 1 is below the
-        largest statistic k has its quantile below the maximum, enters it as
-        -inf, and leaves it the same value. Otherwise every row is rebuilt;
-        a NaN anywhere makes the maximum NaN.
+        largest statistic k has its quantile below another row's, enters
+        as -inf, and leaves the maximum the same value. Otherwise every row
+        is rebuilt.
 
         One thing no row kept this way can reproduce is which of several
         tied zeros of both signs numpy's partition leaves at an order
@@ -546,7 +569,7 @@ class _UpperTails:
             row.partition(fill - m)  # statistic k first, then the larger ones
             tail = row[fill - m :]
             if math.isnan(tail.max()):
-                return math.nan
+                return np.full(len(self._fill), np.nan)
             tails.append(tail)
         lo = np.array([tail[0] for tail in tails])
         hi = np.array([tail[min(1, m - 1) :].min() for tail in tails])
@@ -559,7 +582,7 @@ class _UpperTails:
             rebuilt[0, :k] = lo[i]
             rebuilt[0, k:] = tails[i]
             quantiles[i] = np.quantile(rebuilt, self._level, axis=1, overwrite_input=True)[0]
-        return float(np.max(quantiles))
+        return quantiles
 
 
 def certify_concentration_type2(
@@ -579,12 +602,24 @@ def certify_concentration_type2(
     approximation, without holding every projection: numpy's quantile reads
     only two order statistics of a row, so each direction keeps its
     m = samples - floor((samples - 1) * (1 - delta)) largest projections
-    (see ``_UpperTails``). Besides one chunk of draws of at most
-    ``_CHUNK_BYTES`` (8 MiB; see ``_for_each_block``), the call holds one
-    reused directions x block product and directions x (m + max(block,
-    m // 2)) kept projections: at the defaults about 9 MB at
-    delta = 0.05 and 38 MB at delta = 0.25, in place of the directions x
-    samples x 8 bytes (102 MB) of every projection.
+    in a row of cap = min(samples, m + max(block, m // 2)) (see
+    ``_UpperTails``). Besides one chunk of draws of at most
+    ``_CHUNK_BYTES`` (8 MiB; see ``_for_each_block``) and one reused
+    directions x block product, the call holds directions x cap kept
+    projections, in place of the directions x samples x 8 bytes (102 MB
+    at the defaults) of every projection.
+
+    When those rows would pass ``_CHUNK_BYTES`` but every draw fits it
+    (8 x samples x dim bytes), the call holds the blocks it was handed
+    instead and keeps the directions in groups of
+    max(1, ``_CHUNK_BYTES`` // (8 x cap)): the first group during the
+    draws, each later one by replaying the held blocks through the same
+    full product. At the defaults a d = 2 call holds 3.2 MB of draws and
+    at most 8 MiB of rows (5 passes at delta = 0.25, 2 at delta = 0.05)
+    where it held 38 MB and 9 MB of rows. Every projection comes from the
+    same product of the same operands (a product over a subset of
+    directions can round differently), the sampler sees the same calls,
+    and nothing is drawn again, so the result keeps its bits.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -596,15 +631,32 @@ def certify_concentration_type2(
 
     temp_row_bytes = 8 * directions  # a block's projections
     block = _block_rows(dim, temp_row_bytes)[1]
-    tails = _UpperTails(directions, samples, 1.0 - delta, block)
+    level = 1.0 - delta
+    group = directions  # directions whose tails are kept in one pass
+    if 8 * samples * dim <= _CHUNK_BYTES:
+        row_bytes = 8 * _UpperTails.width(samples, level, block)
+        group = min(directions, max(1, _CHUNK_BYTES // row_bytes))
+    held = []  # (rows, block) of every block, when later groups replay them
+    tails = _UpperTails(group, samples, level, block)
     projections = np.empty((directions, block))
 
     def project(start: int, rows: int, eta: np.ndarray) -> None:
         np.matmul(u, eta.T, out=projections)
-        tails.add(projections[:, :rows])
+        tails.add(projections[:group, :rows])
+        if group < directions:
+            held.append((rows, eta))
 
     _for_each_block(sampler, samples, dim, rng, project, temp_row_bytes)
-    return tails.max_quantile()
+    quantiles = np.empty(directions)
+    quantiles[:group] = tails.quantiles()
+    for g0 in range(group, directions, group):
+        g1 = min(g0 + group, directions)
+        tails.reset(g1 - g0)
+        for rows, eta in held:
+            np.matmul(u, eta.T, out=projections)
+            tails.add(projections[g0:g1, :rows])
+        quantiles[g0:g1] = tails.quantiles()
+    return float(np.max(quantiles))
 
 
 def certify_concentration_type1(

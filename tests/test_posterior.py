@@ -20,6 +20,7 @@ from linbandits.posterior import (
     certify_well_behaved,
     standard_normal_sampler,
 )
+from linbandits.verify import _reweighted_standard_normal_sampler
 from reference import weighted_norm
 
 
@@ -104,6 +105,22 @@ def test_draws_and_densities_keep_the_bits_of_the_plain_expressions(dim):
             quad = np.sum(sol * sol, axis=0)
             plain = -0.5 * quad - 0.5 * law._logdet - dim * posterior._LOG_SQRT_2PI
         assert law.logpdf(draws).tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_univariate_draws_keep_the_bits_of_the_matrix_product(seed):
+    # a dense 1 x 1 law multiplies by its square root; the K=1 product it
+    # replaces rounds each entry once too
+    rng = np.random.default_rng(seed)
+    for scale in (0.0, 1.0, 1.7, 1e-300):
+        for mean in (0.0, -0.0, 3.25, -1e10, float(rng.standard_normal())):
+            law = GaussianPosterior([mean], scale, [[float(rng.random()) + 0.1]])
+            z = np.random.default_rng(seed).standard_normal((2_000, 1))
+            product = z @ law._sqrt.T
+            product *= scale
+            product += law.mean
+            draws = law.sample(2_000, np.random.default_rng(seed))
+            assert draws.tobytes() == product.tobytes(), (scale, mean)
 
 
 def test_non_spd_covariance_fails_at_construction():
@@ -300,6 +317,14 @@ def test_certificates_hold_one_byte_budget_of_temporaries():
         lambda: certify_concentration_type2(standard_normal_sampler(200), 0.05, 64, n, rng)
     )
     assert peak <= tails + budget
+    # d=2, delta=0.25: the rows would take 38.4 MB, so the call holds its
+    # 3.2 MB of draws and keeps at most _CHUNK_BYTES of rows at a time
+    block = posterior._block_rows(2, 8 * 64)[1]
+    held = 8 * n * 2 + posterior._CHUNK_BYTES + 8 * 64 * block
+    peak = _traced_peak(
+        lambda: certify_concentration_type2(standard_normal_sampler(2), 0.25, 64, n, rng)
+    )
+    assert peak <= held + budget
     for dim in (5, 200):
         peak = _traced_peak(
             lambda: certify_anti_concentration(standard_normal_sampler(dim), 64, 200_000, rng)
@@ -429,6 +454,83 @@ def test_certify_type2_matches_samples_by_directions_layout(monkeypatch, dim):
         assert got.hex() == want.hex()
 
 
+def _type2_calls(sampler, delta, directions, samples, seed):
+    """A Type-II result's hex, the sampler's row counts and the rng's final
+    state."""
+    calls = []
+
+    def counted(n, r):
+        calls.append(n)
+        return sampler(n, r)
+
+    rng = np.random.default_rng(seed)
+    got = certify_concentration_type2(counted, delta, directions, samples, rng)
+    return got.hex(), calls, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("directions", [1, 7, 64])
+@pytest.mark.parametrize(
+    "dim, sampler",
+    [
+        (1, standard_normal_sampler(1)),
+        (2, standard_normal_sampler(2)),
+        (5, standard_normal_sampler(5)),
+        (2, _reweighted_standard_normal_sampler(1.25)),
+    ],
+)
+def test_certify_type2_keeps_its_bits_over_direction_groups(monkeypatch, dim, sampler, directions):
+    # 1,041 rows as chunks of 512, 512 and 17 (a padded short block); a
+    # budget of exactly the draws holds them and keeps the directions in
+    # groups, a lifted one keeps every direction in one pass
+    samples = 1_041
+    monkeypatch.setattr(posterior, "_CHUNK", 512)
+    passes = []
+    quantiles = posterior._UpperTails.quantiles
+
+    def counted(tails):
+        passes[-1] += 1
+        return quantiles(tails)
+
+    monkeypatch.setattr(posterior._UpperTails, "quantiles", counted)
+    for delta in (0.01, 0.05, 0.25, 0.5, 0.9):
+        monkeypatch.setattr(posterior, "_CHUNK_BYTES", 8 * samples * dim)
+        passes.append(0)
+        grouped = _type2_calls(sampler, delta, directions, samples, 40 + dim)
+        monkeypatch.setattr(posterior, "_CHUNK_BYTES", 1 << 40)
+        passes.append(0)
+        assert _type2_calls(sampler, delta, directions, samples, 40 + dim) == grouped, delta
+        assert passes[-1] == 1
+    if directions > 1:
+        assert max(passes) > 1  # the grouped path ran
+
+
+def test_certify_type2_returns_nan_from_the_last_group(monkeypatch):
+    # one draw of (inf, inf) projects to NaN only on the last direction,
+    # the one of mixed signs; the other directions' maximum is +inf
+    u = np.array([[0.6, 0.8]] * 6 + [[0.6, -0.8]])
+    monkeypatch.setattr(posterior, "_unit_directions", lambda dim, directions, rng: u)
+
+    def sampler(n, rng):
+        eta = rng.standard_normal((n, 2))
+        eta[n // 2] = np.inf
+        return eta
+
+    monkeypatch.setattr(posterior, "_CHUNK_BYTES", 8 * 1_041 * 2)
+    passes = []
+    quantiles = posterior._UpperTails.quantiles
+
+    def kept(tails):
+        passes.append(quantiles(tails))
+        return passes[-1]
+
+    monkeypatch.setattr(posterior._UpperTails, "quantiles", kept)
+    with np.errstate(invalid="ignore"):
+        got = certify_concentration_type2(sampler, 0.5, 7, 1_041, np.random.default_rng(5))
+    assert len(passes) > 1
+    assert not np.isnan(passes[0]).any() and np.isnan(passes[-1]).all()
+    assert math.isnan(got)
+
+
 # Recorded before the certificate took its maximum without partitioning every
 # row: the returned float must not move by one bit.
 _TYPE2_GOLDEN = {
@@ -490,15 +592,24 @@ def _mixed_zeros(rows: np.ndarray) -> bool:
 @example((np.array([[5.0] * 10, [0.0] * 9 + [np.nan]]), 0.5), random.Random(0))
 def test_upper_tails_match_numpy_bit_for_bit(case, split):
     rows, level = case
-    n = rows.shape[1]
+    m, n = rows.shape
     cuts = sorted(split.sample(range(1, n), split.randint(0, min(n - 1, 6))))
     blocks = np.split(rows, cuts, axis=1)
-    tails = posterior._UpperTails(rows.shape[0], n, level, max(b.shape[1] for b in blocks))
+    # rows in consecutive groups through one reused buffer, as the grouped
+    # Type-II certificate feeds them
+    bounds = [0, *sorted(split.sample(range(1, m), split.randint(0, m - 1))), m]
+    tails = posterior._UpperTails(
+        max(np.diff(bounds)), n, level, max(b.shape[1] for b in blocks)
+    )
+    quantiles = []
     with np.errstate(all="ignore"):
         want = float(np.max(np.quantile(rows, level, axis=1)))
-        for block in blocks:
-            tails.add(block)
-        got = tails.max_quantile()
+        for g0, g1 in zip(bounds, bounds[1:]):
+            tails.reset(g1 - g0)
+            for block in blocks:
+                tails.add(block[g0:g1])
+            quantiles.append(tails.quantiles())
+        got = float(np.max(np.concatenate(quantiles)))
     if want == 0.0 and _mixed_zeros(rows):
         # the sign is whichever tied zero numpy's partition leaves in place:
         # np.quantile([0.0, -0.0, -0.0], 0.75) is -0.0, of [-0.0, -0.0, 0.0] +0.0
