@@ -53,7 +53,7 @@ def _checked(mean, scale, cov) -> tuple[np.ndarray, float, np.ndarray]:
     cov = np.asarray(cov, dtype=float)
     if mean.ndim != 1:
         raise ValueError("mean must be a vector")
-    if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+    if not np.isfinite(mean).all() or not np.isfinite(cov).all():
         raise ValueError("posterior parameters must be finite")
     if not (scale >= 0.0 and math.isfinite(scale)):
         raise ValueError("scale must be a finite non-negative real")
@@ -61,7 +61,7 @@ def _checked(mean, scale, cov) -> tuple[np.ndarray, float, np.ndarray]:
     if cov.ndim == 1:
         if cov.shape[0] != d:
             raise ValueError("diagonal covariance has wrong dimension")
-        if np.any(cov <= 0.0):
+        if (cov <= 0.0).any():
             raise ValueError("diagonal covariance must be strictly positive")
     elif cov.ndim == 2:
         if cov.shape != (d, d):
