@@ -160,15 +160,23 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(raw: str) -> int:
-    """argparse type for a count: a usage error, not a failure mid-way."""
+def _int_at_least(raw: str, low: int, kind: str) -> int:
+    """argparse type: a usage error, not a failure mid-way."""
     try:
         value = int(raw)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {raw!r}")
     return value
+
+
+def _positive_int(raw: str) -> int:
+    return _int_at_least(raw, 1, "positive")
+
+
+def _non_negative_int(raw: str) -> int:
+    return _int_at_least(raw, 0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--epsilon", type=float, required=True)
     p_adv.add_argument("--horizon", type=_positive_int, required=True)
     p_adv.add_argument("--runs", type=_positive_int, default=1)
-    p_adv.add_argument("--seed", type=int, default=20240601)
+    p_adv.add_argument("--seed", type=_non_negative_int, default=20240601)
     p_adv.add_argument("--gamma", type=float, default=0.9)
     p_adv.add_argument("--mu1", type=float, default=1.0)
     p_adv.add_argument("--mu2", type=float, default=0.0)
@@ -203,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="numeric verification suites")
     p_verify.add_argument("--suite", choices=verify.SUITES, required=True)
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=_non_negative_int, default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bounds = sub.add_parser("bounds", help="evaluate regret bounds for a preset")

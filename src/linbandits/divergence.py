@@ -384,6 +384,13 @@ def alpha_divergence(
 # Constant degradation under a bounded inference error
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be non-negative")
+
+
 def degrade_anti_concentration(kappa1: float, epsilon: float, alpha1: float) -> float:
     """Anti-concentration constant after an order-``alpha1`` budget of
     ``epsilon``: ``(eps a (a-1) + 1)^(1/(1-a)) * kappa1^(a/(a-1))``.
@@ -392,8 +399,7 @@ def degrade_anti_concentration(kappa1: float, epsilon: float, alpha1: float) -> 
     """
     if not (0.0 < kappa1 < 1.0):
         raise ValueError("kappa1 must lie in (0, 1)")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
+    _check_epsilon(epsilon)
     if alpha1 <= 1.0:
         raise ValueError("alpha1 must exceed 1")
     lead = (epsilon * alpha1 * (alpha1 - 1.0) + 1.0) ** (1.0 / (1.0 - alpha1))
@@ -406,8 +412,7 @@ def degrade_concentration_type1(
     """Norm-containment constants after an order-``alpha2 < 0`` budget."""
     if alpha2 >= 0.0:
         raise ValueError("alpha2 must be negative")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
+    _check_epsilon(epsilon)
     c2 = c1 + (alpha2 - 1.0) / alpha2
     c2p = c1p / (epsilon * alpha2 * (alpha2 - 1.0) + 1.0) ** alpha2
     return c2, c2p
@@ -422,8 +427,7 @@ def degrade_concentration_type2(
         raise ValueError("alpha2 must be negative")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
+    _check_epsilon(epsilon)
     shifted = delta ** ((alpha2 - 1.0) / alpha2) * (
         epsilon * alpha2 * (alpha2 - 1.0) + 1.0
     ) ** alpha2
@@ -445,8 +449,7 @@ def quantile_shift_bound(gamma: float, epsilon: float, alpha: float) -> float:
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
+    _check_epsilon(epsilon)
     if 0.0 <= alpha <= 1.0:
         raise ValueError("orders in [0, 1] cannot control the quantile shift")
     lead = (epsilon * alpha * (alpha - 1.0) + 1.0) ** (1.0 / (1.0 - alpha))
@@ -564,6 +567,8 @@ def linbucb_regret_bound(
         raise ValueError("assumption must be 'type1' or 'type2'")
     if inference not in ("exact", "approximate"):
         raise ValueError("inference must be 'exact' or 'approximate'")
+    if math.isnan(gamma):
+        raise ValueError("gamma must be a number, got nan")
     kappa = constants.kappa1 if inference == "exact" else constants.kappa2
     threshold = 1.0 - kappa
     if gamma < threshold:

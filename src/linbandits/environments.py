@@ -47,8 +47,8 @@ def make_instance(
         raise ValueError(f"family must be one of {FAMILIES}")
     if dim < 1 or n_arms < 1:
         raise ValueError("dim and n_arms must be positive")
-    if noise_sd < 0.0:
-        raise ValueError("noise_sd must be non-negative")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
+        raise ValueError("noise_sd must be finite and non-negative")
 
     if family == "P1":
         vec = np.array([(-1.0) ** i for i in range(dim)])

@@ -357,58 +357,36 @@ def _run_streams(config: ExperimentConfig, run_idx: int):
     return arm_rng, noise_rng, policy_rngs
 
 
-# Bytes of arm sets a run holds at once: arm sets are drawn one block of steps
-# at a time into one reused buffer of this size, so a run's memory depends on
-# K·d and not on the horizon. 1 MiB holds 13 steps at d=200, K=50 and 655 at
-# the reference d=20, K=10.
-ARM_BLOCK_BYTES = 1 << 20
-
-
 def _run_single(config: ExperimentConfig, run_idx: int) -> dict[str, RegretTrace]:
     """Step every policy through one run and return its regret traces.
 
-    The run draws ``ARM_BLOCK_BYTES // (8·K·d)`` steps of arm sets (clipped
-    to ``[1, horizon]``) into one reused buffer, and each policy in turn steps
-    through the whole block before the next block is drawn. Every stream is
-    consumed in the same order as if all arm sets were drawn up front: the arm
-    rng step by step, each policy's rng in its own step order, and the noise
-    by step, so the traces do not depend on the block length. When a step
-    fails, the first failure in (block, policy, step) order is reported, with
-    its policy and step.
+    Each step draws one arm set and one noise value, and every policy in turn
+    selects an arm from that set and updates, so the run holds one arm set
+    at a time. When a step fails, the first failure in (step, policy) order
+    is reported, with its policy and step.
     """
-    instance = config.instance()
     policy_configs = config.policy_configs()
     arm_rng, noise_rng, policy_rngs = _run_streams(config, run_idx)
 
-    t_max, k, d = config.horizon, config.n_arms, config.dim
-    block = min(max(1, ARM_BLOCK_BYTES // (8 * k * d)), t_max)
-    arm_sets = np.empty((block, k, d))
-    values = np.empty((block, k))
-    theta = instance.theta_star
-
+    t_max, d = config.horizon, config.dim
+    theta = config.instance().theta_star
     states = [algorithms.init_policy(pcfg, d) for pcfg in policy_configs]
     inst = [np.zeros(t_max) for _ in policy_configs]
-    for start in range(0, t_max, block):
-        steps = min(block, t_max - start)
-        for i in range(steps):
-            arm_sets[i] = sample_arm_set(d, k, arm_rng, config.arm_scaling)
-            values[i] = arm_sets[i] @ theta
-        noise = noise_rng.standard_normal(steps) * config.noise_sd
+    for t in range(t_max):
+        arms = sample_arm_set(d, config.n_arms, arm_rng, config.arm_scaling)
+        vals = arms @ theta
+        best = np.max(vals)
+        noise = noise_rng.standard_normal() * config.noise_sd
         for p, (pcfg, prng) in enumerate(zip(policy_configs, policy_rngs)):
-            state, regret = states[p], inst[p]
             try:
-                for i in range(steps):
-                    arms, vals = arm_sets[i], values[i]
-                    idx = algorithms.select_arm(state, pcfg, arms, prng)
-                    regret[start + i] = float(np.max(vals) - vals[idx])
-                    observed = float(vals[idx] + noise[i])
-                    state = algorithms.update(state, arms[idx], observed)
+                idx = algorithms.select_arm(states[p], pcfg, arms, prng)
+                inst[p][t] = float(best - vals[idx])
+                states[p] = algorithms.update(states[p], arms[idx], float(vals[idx] + noise))
             except Exception as exc:
                 raise RuntimeError(
                     f"run failed at seed={config.base_seed}+run {run_idx}, "
-                    f"policy={pcfg.name}, step={start + i + 1}: {exc}"
+                    f"policy={pcfg.name}, step={t + 1}: {exc}"
                 ) from exc
-            states[p] = state
     return {
         pcfg.name: RegretTrace.from_instantaneous(regret)
         for pcfg, regret in zip(policy_configs, inst)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import linbandits
-from linbandits import adversarial
+from linbandits import adversarial, verify
 from linbandits.cli import main
 from linbandits.harness import ExperimentConfig, save_config
 
@@ -212,6 +212,26 @@ def test_adversarial_counts_must_be_positive(tmp_path, capsys, monkeypatch, flag
     assert not os.path.exists(tmp_path / "adv")
 
 
+@pytest.mark.parametrize("command", ["adversarial", "verify"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "adversarial":
+        argv = ["adversarial", "--policy", "lints", "--alpha", "2.0", "--epsilon", "0.1",
+                "--horizon", "20", "--output-dir", str(out)]
+    else:
+        argv = ["verify", "--suite", "quantile-shift"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    usage, _, error = capsys.readouterr().err.rstrip("\n").rpartition("\n")
+    assert usage.startswith(f"usage: linbandits {command}")
+    assert error == (
+        f"linbandits {command}: error: argument --seed: "
+        "must be a non-negative integer, got '-1'"
+    )
+    assert not os.path.exists(out)
+
+
 def test_bounds_command(capsys):
     assert main(["bounds", "--preset", "default"]) == 0
     out = capsys.readouterr().out
@@ -220,7 +240,7 @@ def test_bounds_command(capsys):
     assert "quantile-selection bound (type2, approximate" in out
 
 
-def _bad_argv(tmp_path, command):
+def _bad_argv(tmp_path, monkeypatch, command):
     if command == "run":
         path = _write_config(tmp_path)
         with open(path, "a") as fh:
@@ -233,12 +253,17 @@ def _bad_argv(tmp_path, command):
         argv = ["adversarial", "--policy", "lints", "--alpha", "-1", "--epsilon", "0.1",
                 "--horizon", "10", "--output-dir", str(tmp_path / "out")]
         return argv, "alpha must be positive"
-    return ["verify", "--suite", "quantile-shift", "--seed", "-1"], "non-negative"
+    # no verify option reaches a suite's ValueError, so a suite raises one
+    def bad_suite(name, seed=None):
+        raise ValueError("suite rejected its input")
+
+    monkeypatch.setattr(verify, "run_suite", bad_suite)
+    return ["verify", "--suite", "quantile-shift"], "suite rejected its input"
 
 
 @pytest.mark.parametrize("command", ["run", "sweep-gamma", "adversarial", "verify"])
-def test_value_error_prints_one_line(tmp_path, capsys, command):
-    argv, detail = _bad_argv(tmp_path, command)
+def test_value_error_prints_one_line(tmp_path, capsys, monkeypatch, command):
+    argv, detail = _bad_argv(tmp_path, monkeypatch, command)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -295,6 +295,25 @@ def test_quantile_shift_bound_examples():
             quantile_shift_bound(0.9, 0.1, alpha)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "degrade",
+    [
+        lambda eps: degrade_anti_concentration(0.15866, eps, 2.0),
+        lambda eps: degrade_concentration_type1(4.0, 4.0, eps, -1.0),
+        lambda eps: degrade_concentration_type2(standard_normal_quantile_table, eps, -1.0, 0.05),
+        lambda eps: quantile_shift_bound(0.9, eps, 2.0),
+        lambda eps: derive_bound_constants(eps),
+    ],
+    ids=["anti_concentration", "type1", "type2", "quantile_shift", "bound_constants"],
+)
+def test_degradation_rejects_a_non_finite_budget(degrade, epsilon):
+    with pytest.raises(ValueError, match=f"epsilon must be finite, got {epsilon}"):
+        degrade(epsilon)
+    with pytest.raises(ValueError, match="epsilon must be non-negative"):
+        degrade(-0.1)
+
+
 # ---------------------------------------------------------------------------
 # Regret-bound evaluators
 
@@ -357,6 +376,9 @@ def test_linbucb_bound_gamma_thresholds():
     linbucb_regret_bound(_params(5), constants, mid, 100, 5, "type1", "exact")
     with pytest.raises(ValueError):
         linbucb_regret_bound(_params(5), constants, mid, 100, 5, "type1", "approximate")
+    for inference in ("exact", "approximate"):
+        with pytest.raises(ValueError, match="gamma must be a number, got nan"):
+            linbucb_regret_bound(_params(5), constants, math.nan, 100, 5, "type1", inference)
     # near-one levels blow up the type1 bound
     big = linbucb_regret_bound(_params(5), constants, 1 - 1e-12, 100, 5, "type1", "exact")
     ref = linbucb_regret_bound(_params(5), constants, 0.9, 100, 5, "type1", "exact")

@@ -42,6 +42,12 @@ def test_custom_family():
         make_instance("custom", 2, 2)
 
 
+@pytest.mark.parametrize("noise_sd", [math.nan, math.inf, -0.5])
+def test_noise_sd_must_be_finite_and_non_negative(noise_sd):
+    with pytest.raises(ValueError, match="noise_sd must be finite and non-negative"):
+        make_instance("P1", 2, 2, noise_sd=noise_sd)
+
+
 def test_arm_sets_live_in_unit_ball():
     rng = np.random.default_rng(0)
     arms = sample_arm_set(3, 200, rng)

@@ -443,22 +443,21 @@ def test_run_failure_reports_context(monkeypatch):
     with pytest.raises(RuntimeError, match="policy=lints, step=1"):
         harness._run_single(config, 0)
 
-    # a failure of the second policy in the second block is reported before
-    # the first policy has gone past that block
-    block = 7
-    monkeypatch.setattr(harness, "ARM_BLOCK_BYTES", block * 8 * config.n_arms * config.dim)
+    # a failure of the second policy at step s is reported after the first
+    # policy has made s calls and before it makes call s + 1
+    step = 10
     calls = {"lints": 0, "linbucb": 0}
 
     def fail_late(state, pcfg, arms, rng):
         calls[pcfg.name] += 1
-        if pcfg.name == "linbucb" and calls["linbucb"] == block + 3:
+        if pcfg.name == "linbucb" and calls["linbucb"] == step:
             raise RuntimeError("kaput")
         return original(state, pcfg, arms, rng)
 
     monkeypatch.setattr(harness.algorithms, "select_arm", fail_late)
-    with pytest.raises(RuntimeError, match=f"policy=linbucb, step={block + 3}:"):
+    with pytest.raises(RuntimeError, match=f"policy=linbucb, step={step}:"):
         harness._run_single(config, 0)
-    assert calls == {"lints": 2 * block, "linbucb": block + 3}
+    assert calls == {"lints": step, "linbucb": step}
 
 
 # SHA-256 of traces.csv and aggregate.csv for _BLOCK_GOLDEN, recorded with
@@ -477,16 +476,8 @@ _BLOCK_GOLDEN = dict(
 )
 
 
-@pytest.mark.parametrize("block", [1, 7, 300, 10_000])
-def test_outputs_do_not_depend_on_block_length(block, monkeypatch, tmp_path):
-    from linbandits import harness
-
-    config = ExperimentConfig(**_BLOCK_GOLDEN)
-    step_bytes = 8 * config.n_arms * config.dim
-    # one byte short of block + 1 steps; 7 does not divide the horizon, so
-    # the last block is short, and 10 000 is clipped to the horizon
-    monkeypatch.setattr(harness, "ARM_BLOCK_BYTES", block * step_bytes + step_bytes - 1)
-    result = run_experiment(config)
+def test_block_golden_outputs_are_pinned(tmp_path):
+    result = run_experiment(ExperimentConfig(**_BLOCK_GOLDEN))
     write_traces_csv(result.traces, tmp_path / "traces.csv")
     write_aggregate_csv(result.aggregates(), tmp_path / "aggregate.csv")
     for name, digest in (
@@ -494,6 +485,50 @@ def test_outputs_do_not_depend_on_block_length(block, monkeypatch, tmp_path):
         ("aggregate.csv", _BLOCK_GOLDEN_AGGREGATE),
     ):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def _block_replay(config: ExperimentConfig, run_idx: int, block: int) -> np.ndarray:
+    """Per-policy instantaneous regret of one run when ``block`` arm sets are
+    drawn at once and each policy steps through all of them before the next
+    block is drawn."""
+    from linbandits import algorithms, harness
+    from linbandits.environments import sample_arm_set
+
+    policy_configs = config.policy_configs()
+    arm_rng, noise_rng, policy_rngs = harness._run_streams(config, run_idx)
+    theta = config.instance().theta_star
+    states = [algorithms.init_policy(pcfg, config.dim) for pcfg in policy_configs]
+    regret = np.zeros((len(policy_configs), config.horizon))
+    for start in range(0, config.horizon, block):
+        steps = min(block, config.horizon - start)
+        arm_sets = [
+            sample_arm_set(config.dim, config.n_arms, arm_rng, config.arm_scaling)
+            for _ in range(steps)
+        ]
+        noise = noise_rng.standard_normal(steps) * config.noise_sd
+        for p, (pcfg, prng) in enumerate(zip(policy_configs, policy_rngs)):
+            for i, arms in enumerate(arm_sets):
+                vals = arms @ theta
+                idx = algorithms.select_arm(states[p], pcfg, arms, prng)
+                regret[p, start + i] = float(np.max(vals) - vals[idx])
+                states[p] = algorithms.update(states[p], arms[idx], float(vals[idx] + noise[i]))
+    return regret
+
+
+@pytest.mark.parametrize("block", [1, 7, 300, 10_000])
+def test_outputs_do_not_depend_on_block_length(block):
+    from linbandits import harness
+
+    # the run steps one arm set at a time; drawing the arm sets in blocks and
+    # stepping each policy through a whole block gives the same bits, since
+    # every stream is consumed in the same order. 7 does not divide the
+    # horizon, so the last block is short, and 10 000 exceeds the horizon
+    config = ExperimentConfig(**_BLOCK_GOLDEN)
+    for run_idx in range(config.n_runs):
+        traces = harness._run_single(config, run_idx)
+        replay = _block_replay(config, run_idx, block)
+        for p, pcfg in enumerate(config.policy_configs()):
+            assert np.array_equal(traces[pcfg.name].instantaneous, replay[p])
 
 
 # SHA-256 of traces.csv and aggregate.csv for the two approximate policies
@@ -521,9 +556,9 @@ def test_mean_and_cov_outputs_are_pinned(tmp_path):
 def test_run_memory_does_not_grow_with_horizon():
     from linbandits import harness
 
-    # all arm sets of this run take 64 MB; a run holds one block of them
+    # all arm sets of this run take 64 MB; a run holds one of them at a time
     config = _tiny(dim=100, n_arms=40, horizon=2000, n_runs=1, policies=("lints_approx",))
-    budget = 4 * 2**20
+    budget = 2**20
     assert config.horizon * config.n_arms * config.dim * 8 >= 64 * 10**6
     tracemalloc.start()
     try:
