@@ -9,7 +9,8 @@ worse arm at every single step. Controls with the reweighting switched off
 
 import numpy as np
 
-from linbandits import run_adversarial_episode, sublinearity_ratio
+from linbandits.adversarial import run_adversarial_episode
+from linbandits.environments import sublinearity_ratio
 
 ALPHA, EPSILON, HORIZON = 2.0, 0.1, 1000
 

@@ -6,9 +6,7 @@ import math
 
 import numpy as np
 
-from linbandits import (
-    ConfidenceParams,
-    GaussianPosterior,
+from linbandits.divergence import (
     Method,
     alpha_divergence,
     derive_bound_constants,
@@ -18,6 +16,8 @@ from linbandits import (
     two_region_reweight,
     verify_invariance,
 )
+from linbandits.linalg import ConfidenceParams
+from linbandits.posterior import GaussianPosterior
 
 rng = np.random.default_rng(5)
 

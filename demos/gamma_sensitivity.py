@@ -5,7 +5,7 @@ comparison across levels is paired. Expect a flat valley around 0.55-0.7 with
 a visible over-conservative rise toward 0.95 for the exact policy.
 """
 
-from linbandits import ExperimentConfig, sensitivity_sweep
+from linbandits.harness import ExperimentConfig, sensitivity_sweep
 
 config = ExperimentConfig(
     family="P3",

@@ -9,13 +9,13 @@ standard normal and a tilted variant that fails anti-concentration.
 
 import numpy as np
 
-from linbandits import (
+from linbandits.normal import norm_cdf
+from linbandits.posterior import (
     certify_anti_concentration,
     certify_concentration_type1,
     certify_concentration_type2,
     standard_normal_sampler,
 )
-from linbandits.normal import norm_cdf
 
 rng = np.random.default_rng(3)
 kappa_true = float(norm_cdf(-1.0))

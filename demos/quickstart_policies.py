@@ -7,18 +7,9 @@ policy for an index, observe a noisy reward, feed the pair back in. Run with
 
 import numpy as np
 
-from linbandits import (
-    ConfidenceParams,
-    Inference,
-    Kind,
-    PolicyConfig,
-    init_policy,
-    make_instance,
-    reward,
-    sample_arm_set,
-    select_arm,
-    update,
-)
+from linbandits.algorithms import Inference, Kind, PolicyConfig, init_policy, select_arm, update
+from linbandits.environments import make_instance, reward, sample_arm_set
+from linbandits.linalg import ConfidenceParams
 
 DIM, N_ARMS, HORIZON = 8, 6, 400
 

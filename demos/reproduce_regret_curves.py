@@ -8,7 +8,8 @@ demo defaults to a lighter setting. Outputs land in ``demo_out/curves-<fam>``.
 
 import numpy as np
 
-from linbandits import ExperimentConfig, emit_outputs, run_experiment, sublinearity_ratio
+from linbandits.environments import sublinearity_ratio
+from linbandits.harness import ExperimentConfig, emit_outputs, run_experiment
 
 DIM, HORIZON, RUNS = 10, 500, 5
 

@@ -3,136 +3,4 @@ inference: posterior-sampling and posterior-quantile policies, alpha-divergence
 error budgets with their regret-bound constants, explicit budgeted adversaries,
 and a reproducible experiment harness."""
 
-from .adversarial import (
-    AdversarialEpisode,
-    AdversarialPosteriorPair,
-    bucb_adversary_quantiles,
-    choose_r,
-    run_adversarial_episode,
-    ts_adversary_sample,
-    wrap_bucb,
-    wrap_ts,
-)
-from .algorithms import (
-    Inference,
-    Kind,
-    PolicyConfig,
-    ScaleMode,
-    init_policy,
-    select_arm,
-    update,
-)
-from .divergence import (
-    BoundConstants,
-    DivergenceResult,
-    Method,
-    ReweightedGaussian1D,
-    alpha_divergence,
-    degrade_anti_concentration,
-    degrade_concentration_type1,
-    degrade_concentration_type2,
-    derive_bound_constants,
-    linbucb_regret_bound,
-    lints_regret_bound,
-    quantile_shift_bound,
-    two_region_reweight,
-    verify_invariance,
-)
-from .environments import (
-    BanditInstance,
-    RegretTrace,
-    make_instance,
-    reward,
-    sample_arm_set,
-    sublinearity_ratio,
-)
-from .harness import (
-    AggregateResult,
-    ExperimentConfig,
-    emit_outputs,
-    load_config,
-    run_experiment,
-    save_config,
-    sensitivity_sweep,
-)
-from .linalg import (
-    ConfidenceParams,
-    DiagonalApproxState,
-    RlsState,
-    beta,
-    diag_init,
-    diag_update,
-    rls_init,
-    rls_update,
-)
-from .posterior import (
-    GaussianPosterior,
-    WellBehavedCertificate,
-    certify_anti_concentration,
-    certify_concentration_type1,
-    certify_concentration_type2,
-    certify_well_behaved,
-    standard_normal_sampler,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdversarialEpisode",
-    "AdversarialPosteriorPair",
-    "AggregateResult",
-    "BanditInstance",
-    "BoundConstants",
-    "ConfidenceParams",
-    "DiagonalApproxState",
-    "DivergenceResult",
-    "ExperimentConfig",
-    "GaussianPosterior",
-    "Inference",
-    "Kind",
-    "Method",
-    "PolicyConfig",
-    "RegretTrace",
-    "ReweightedGaussian1D",
-    "RlsState",
-    "ScaleMode",
-    "WellBehavedCertificate",
-    "alpha_divergence",
-    "beta",
-    "bucb_adversary_quantiles",
-    "certify_anti_concentration",
-    "certify_concentration_type1",
-    "certify_concentration_type2",
-    "certify_well_behaved",
-    "choose_r",
-    "degrade_anti_concentration",
-    "degrade_concentration_type1",
-    "degrade_concentration_type2",
-    "derive_bound_constants",
-    "diag_init",
-    "diag_update",
-    "emit_outputs",
-    "init_policy",
-    "linbucb_regret_bound",
-    "lints_regret_bound",
-    "load_config",
-    "make_instance",
-    "quantile_shift_bound",
-    "reward",
-    "rls_init",
-    "rls_update",
-    "run_adversarial_episode",
-    "run_experiment",
-    "sample_arm_set",
-    "save_config",
-    "select_arm",
-    "sensitivity_sweep",
-    "standard_normal_sampler",
-    "sublinearity_ratio",
-    "ts_adversary_sample",
-    "two_region_reweight",
-    "update",
-    "verify_invariance",
-    "wrap_bucb",
-    "wrap_ts",
-]

@@ -40,6 +40,8 @@ from .posterior import GaussianPosterior
 
 _DEGENERACY_BAND = 1e-6
 _MAX_PROPOSALS = 1_000_000
+# choose_r's reweighting factor when the budget bounds it by nothing
+_R_CAP = 1e6
 _HERMITE_NODES = 96
 
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
@@ -151,11 +153,11 @@ def check_budget(alpha: float, epsilon: float) -> None:
             raise ValueError(f"{name} must be positive")
 
 
-def choose_r(alpha: float, epsilon: float, gamma: float | None = None, cap: float = 1e6) -> float:
+def choose_r(alpha: float, epsilon: float, gamma: float | None = None) -> float:
     """Midpoint of the feasible reweighting interval for a given budget.
 
     The interval is ``(1, (eps a (a-1) + 1)^(1/(a-1)))`` for ``a != 1`` (upper
-    endpoint replaced by ``cap`` when the base is non-positive) and
+    endpoint replaced by ``_R_CAP`` when the base is non-positive) and
     ``(1, e^eps)`` for ``a = 1``; the quantile construction raises the lower
     endpoint to ``1 / gamma``. A budget whose interval is empty is rejected.
     """
@@ -168,20 +170,16 @@ def choose_r(alpha: float, epsilon: float, gamma: float | None = None, cap: floa
     else:
         base = epsilon * alpha * (alpha - 1.0) + 1.0
         if base <= 0.0:  # unbounded regime, only reachable for alpha in (0, 1)
-            return max(cap, lower + 1.0)
+            return max(_R_CAP, lower + 1.0)
         upper = base ** (1.0 / (alpha - 1.0))
     if upper <= lower:
         if gamma is None:  # the interval (1, upper) rounded away
             raise ValueError(f"budget epsilon={epsilon} is too small at alpha={alpha}")
-        if alpha == 1.0:
-            threshold = -math.log(gamma)
-        else:
-            threshold = (gamma ** (1.0 - alpha) - 1.0) / (alpha * (alpha - 1.0))
         raise ValueError(
             f"budget epsilon={epsilon} infeasible for gamma={gamma}; "
-            f"needs epsilon > {threshold:.6g}"
+            f"needs epsilon > {analytic_budget_bound(lower, alpha):.6g}"
         )
-    return 0.5 * (lower + min(upper, cap))
+    return 0.5 * (lower + min(upper, _R_CAP))
 
 
 def _sample_region(
@@ -228,42 +226,45 @@ def _gaussian_mass_below_quad(z0: float) -> tuple[float, float]:
     return val, err
 
 
-def ts_divergence(
-    pair: AdversarialPosteriorPair, alpha: float, quadrature: bool = True
-) -> tuple[float, float]:
+def region_divergence(r: float, alpha: float, mass: float) -> float:
+    """Divergence from a law to its two-region reweighting that squashes the
+    region of mass ``1 - mass`` by ``1/r`` and boosts the region of mass
+    ``mass`` to renormalise: ``(sum_i mass_i w_i^(1-a) - 1)/(a(a-1))``, and
+    ``sum_i mass_i log(1/w_i)`` at the KL order. A mass outside [0, 1] is
+    clipped to it."""
+    mass = min(max(mass, 0.0), 1.0)
+    boost = (1.0 - (1.0 - mass) / r) / mass if mass > 0.0 else 1.0
+    if alpha == 1.0:
+        return math.log(1.0 / boost) * mass + math.log(r) * (1.0 - mass)
+    lifted = boost ** (1.0 - alpha) * mass
+    cross = lifted + r ** (alpha - 1.0) * (1.0 - mass)
+    return (cross - 1.0) / (alpha * (alpha - 1.0))
+
+
+def ts_divergence(pair: AdversarialPosteriorPair, alpha: float) -> tuple[float, float]:
     """Certified divergence of the region reweighting and its error estimate.
 
     The cross integral collapses to region masses; the only numeric quantity
-    is the winning-region mass, integrated from the difference law when
-    ``quadrature`` is set and taken from the closed form otherwise.
+    is the winning-region mass, integrated from the difference law.
     """
     gap, sd = _diff_law(pair.pi)
-    if quadrature and sd > 0.0:
+    if sd > 0.0:
         f, f_err = _gaussian_mass_below_quad(-gap / sd)
     else:
         f, f_err = pair.f_t, 0.0
-
-    def value_at(mass: float) -> float:
-        mass = min(max(mass, 0.0), 1.0)
-        r = pair.r
-        boost = (1.0 - (1.0 - mass) / r) / mass if mass > 0.0 else 1.0
-        if alpha == 1.0:
-            return math.log(1.0 / boost) * mass + math.log(r) * (1.0 - mass)
-        lifted = boost ** (1.0 - alpha) * mass
-        cross = lifted + r ** (alpha - 1.0) * (1.0 - mass)
-        return (cross - 1.0) / (alpha * (alpha - 1.0))
-
-    center = value_at(f)
-    spread = max(abs(value_at(f + f_err) - center), abs(value_at(f - f_err) - center))
+    center = region_divergence(pair.r, alpha, f)
+    spread = max(
+        abs(region_divergence(pair.r, alpha, f + f_err) - center),
+        abs(region_divergence(pair.r, alpha, f - f_err) - center),
+    )
     return center, spread
 
 
 def analytic_budget_bound(r: float, alpha: float) -> float:
-    """Divergence bound both constructions satisfy: ``(r^(a-1) - 1)/(a(a-1))``
-    for ``a != 1`` and ``log r`` at the KL order."""
-    if alpha == 1.0:
-        return math.log(r)
-    return (r ** (alpha - 1.0) - 1.0) / (alpha * (alpha - 1.0))
+    """Divergence bound both constructions satisfy, the region divergence at
+    mass 0: ``(r^(a-1) - 1)/(a(a-1))`` for ``a != 1`` and ``log r`` at the KL
+    order."""
+    return region_divergence(r, alpha, 0.0)
 
 
 def _cut_log_survival(
@@ -467,7 +468,6 @@ def run_adversarial_episode(
     r: float | None = None,
     confidence: ConfidenceParams | None = None,
     noise_sd: float = 0.5,
-    certify: bool = True,
 ) -> AdversarialEpisode:
     """Run one policy against its adversarial construction on the fixed
     two-arm instance with ground truth ``mu``.
@@ -477,7 +477,7 @@ def run_adversarial_episode(
     coordinate of one draw from the region reweighting; LinBUCB picks the
     larger reweighted quantile with ``bucb_adversary_choice``, one CDF value
     per step. The per-step certificate is the quadrature divergence between
-    the exact posterior and its reweighting; disable with ``certify=False``.
+    the exact posterior and its reweighting.
     """
     r = check_episode(policy, mu, alpha, epsilon, gamma, r, noise_sd)
     mu1, mu2 = float(mu[0]), float(mu[1])
@@ -511,14 +511,12 @@ def run_adversarial_episode(
             if policy == "lints":
                 pair = wrap_ts(pi, r)
                 draw = ts_adversary_sample(pair, rng)
-                if certify:
-                    divs[t] = ts_divergence(pair, alpha)[0]
+                divs[t] = ts_divergence(pair, alpha)[0]
                 idx = 0 if draw[0] >= draw[1] else 1
             else:
                 pair = wrap_bucb(pi, r, gamma)
                 idx = bucb_adversary_choice(pair)
-                if certify:
-                    divs[t] = bucb_divergence(pair, alpha)[0]
+                divs[t] = bucb_divergence(pair, alpha)[0]
 
         chosen[t] = idx
         inst[t] = 0.0 if idx == 0 else gap

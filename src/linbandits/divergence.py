@@ -24,6 +24,10 @@ from .normal import norm_cdf, norm_ppf
 from .posterior import _LOG_SQRT_2PI, _TAIL_SDS, GaussianPosterior, _check_int
 
 DEFAULT_MC_SAMPLES = 100_000
+# absolute tolerance of the divergence quadrature, and the allowance of an
+# affine-invariance check beyond its Monte-Carlo error
+_QUAD_TOLERANCE = 1e-10
+_INVARIANCE_TOLERANCE = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +280,7 @@ def _point_logpdf(p) -> Callable[[float], float]:
     return lambda x: float(p.logpdf([x])[0])
 
 
-def _quadrature(p1, p2, alpha: float, tolerance: float) -> tuple[float, float]:
+def _quadrature(p1, p2, alpha: float) -> tuple[float, float]:
     lo1, hi1 = p1.support_bounds()
     lo2, hi2 = p2.support_bounds()
     lo, hi = min(lo1, lo2), max(hi1, hi2)
@@ -292,7 +296,7 @@ def _quadrature(p1, p2, alpha: float, tolerance: float) -> tuple[float, float]:
             return math.exp(la) * (la - lb)
 
         val, err = scipy.integrate.quad(
-            integrand, lo, hi, epsabs=tolerance, epsrel=1e-12, limit=300, points=pts or None
+            integrand, lo, hi, epsabs=_QUAD_TOLERANCE, epsrel=1e-12, limit=300, points=pts or None
         )
         return val, err
 
@@ -300,7 +304,7 @@ def _quadrature(p1, p2, alpha: float, tolerance: float) -> tuple[float, float]:
         return math.exp(alpha * log1(x) + (1.0 - alpha) * log2(x))
 
     cross, err = scipy.integrate.quad(
-        integrand, lo, hi, epsabs=tolerance, epsrel=1e-12, limit=300, points=pts or None
+        integrand, lo, hi, epsabs=_QUAD_TOLERANCE, epsrel=1e-12, limit=300, points=pts or None
     )
     denom = alpha * (alpha - 1.0)
     return (cross - 1.0) / denom, err / abs(denom)
@@ -336,7 +340,6 @@ def alpha_divergence(
     p2,
     alpha: float,
     method: Method | str = Method.AUTO,
-    tolerance: float = 1e-10,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     rng: np.random.Generator | None = None,
 ) -> DivergenceResult:
@@ -370,7 +373,7 @@ def alpha_divergence(
     if method is Method.QUADRATURE_1D or (method is Method.AUTO and has_density_1d):
         if not has_density_1d:
             raise ValueError("quadrature requires univariate descriptors with densities")
-        value, err = _quadrature(p1, p2, alpha, tolerance)
+        value, err = _quadrature(p1, p2, alpha)
         return DivergenceResult(alpha, value, Method.QUADRATURE_1D, err)
 
     # the standard error needs two draws
@@ -384,9 +387,15 @@ def alpha_divergence(
 # Constant degradation under a bounded inference error
 
 
+def _check_finite(**values: float) -> None:
+    """Reject a NaN or infinite input, by name."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_epsilon(epsilon: float) -> None:
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    _check_finite(epsilon=epsilon)
     if epsilon < 0.0:
         raise ValueError("epsilon must be non-negative")
 
@@ -400,6 +409,7 @@ def degrade_anti_concentration(kappa1: float, epsilon: float, alpha1: float) -> 
     if not (0.0 < kappa1 < 1.0):
         raise ValueError("kappa1 must lie in (0, 1)")
     _check_epsilon(epsilon)
+    _check_finite(alpha1=alpha1)
     if alpha1 <= 1.0:
         raise ValueError("alpha1 must exceed 1")
     lead = (epsilon * alpha1 * (alpha1 - 1.0) + 1.0) ** (1.0 / (1.0 - alpha1))
@@ -410,6 +420,7 @@ def degrade_concentration_type1(
     c1: float, c1p: float, epsilon: float, alpha2: float
 ) -> tuple[float, float]:
     """Norm-containment constants after an order-``alpha2 < 0`` budget."""
+    _check_finite(c1=c1, c1p=c1p, alpha2=alpha2)
     if alpha2 >= 0.0:
         raise ValueError("alpha2 must be negative")
     _check_epsilon(epsilon)
@@ -423,6 +434,7 @@ def degrade_concentration_type2(
 ) -> float:
     """Directional-containment table after an order-``alpha2 < 0`` budget:
     evaluates the exact table at ``delta^((a-1)/a) * (eps a (a-1) + 1)^a``."""
+    _check_finite(alpha2=alpha2)
     if alpha2 >= 0.0:
         raise ValueError("alpha2 must be negative")
     if not (0.0 < delta < 1.0):
@@ -450,6 +462,7 @@ def quantile_shift_bound(gamma: float, epsilon: float, alpha: float) -> float:
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
     _check_epsilon(epsilon)
+    _check_finite(alpha=alpha)
     if 0.0 <= alpha <= 1.0:
         raise ValueError("orders in [0, 1] cannot control the quantile shift")
     lead = (epsilon * alpha * (alpha - 1.0) + 1.0) ** (1.0 / (1.0 - alpha))
@@ -620,7 +633,6 @@ def verify_invariance(
     shift,
     matrix,
     alpha: float,
-    tolerance: float = 1e-6,
     rng: np.random.Generator | None = None,
     mc_samples: int = DEFAULT_MC_SAMPLES,
 ) -> InvarianceReport:
@@ -629,7 +641,7 @@ def verify_invariance(
 
     Gaussian pairs are checked in closed form; reweighted univariate pairs are
     checked by Monte Carlo, with the residual compared against the combined
-    error (3 standard errors per side plus ``tolerance``).
+    error (3 standard errors per side plus ``_INVARIANCE_TOLERANCE``).
     """
     t1 = p1.affine(shift, matrix)
     t2 = p2.affine(shift, matrix)
@@ -638,12 +650,12 @@ def verify_invariance(
     if gaussian_pair:
         base = alpha_divergence(p1, p2, alpha, Method.CLOSED_FORM_GAUSSIAN)
         moved = alpha_divergence(t1, t2, alpha, Method.CLOSED_FORM_GAUSSIAN)
-        combined = tolerance
+        combined = _INVARIANCE_TOLERANCE
     else:
         rng = np.random.default_rng() if rng is None else rng
         base = alpha_divergence(p1, p2, alpha, Method.MONTE_CARLO, rng=rng, mc_samples=mc_samples)
         moved = alpha_divergence(t1, t2, alpha, Method.MONTE_CARLO, rng=rng, mc_samples=mc_samples)
-        combined = 3.0 * (base.error_estimate + moved.error_estimate) + tolerance
+        combined = 3.0 * (base.error_estimate + moved.error_estimate) + _INVARIANCE_TOLERANCE
     if not base.finite and not moved.finite:
         # an invertible map cannot change an infinite divergence
         residual = 0.0
@@ -661,7 +673,7 @@ def verify_invariance(
                 p1.project(u), p2.project(u), alpha, Method.CLOSED_FORM_GAUSSIAN
             )
             projections.append(proj.value)
-            if proj.value > base.value + tolerance:
+            if proj.value > base.value + _INVARIANCE_TOLERANCE:
                 projections_ok = False
 
     return InvarianceReport(

@@ -81,8 +81,8 @@ def sample_arm_set(
 
     ``ball`` projects (``x / max(1, ||x||)``); ``sphere`` always normalizes.
     """
-    if n_arms < 1:
-        raise ValueError("n_arms must be positive")
+    if dim < 1 or n_arms < 1:
+        raise ValueError("dim and n_arms must be positive")
     if scaling not in ARM_SCALINGS:
         raise ValueError(f"scaling must be one of {ARM_SCALINGS}")
     arms = rng.standard_normal((n_arms, dim))
@@ -111,7 +111,8 @@ class RegretTrace:
     @classmethod
     def from_instantaneous(cls, inst) -> "RegretTrace":
         arr = np.asarray(inst, dtype=float)
-        if np.any(arr < -1e-12):
+        # written so that a NaN fails it
+        if not np.all(arr >= -1e-12):
             raise ValueError("instantaneous regret must be non-negative")
         return cls(instantaneous=arr, cumulative=np.cumsum(arr))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversarial import analytic_budget_bound
+from .adversarial import analytic_budget_bound, region_divergence
 from .divergence import (
     Method,
     alpha_divergence,
@@ -62,9 +62,7 @@ def _random_gaussian_pair_1d(
     return GaussianPosterior([m1], 1.0, [[s1**2]]), GaussianPosterior([m2], 1.0, [[s2**2]])
 
 
-def suite_divergence(
-    seed: int = 99, n_pairs: int = 100, n_maps: int = 50
-) -> list[CheckResult]:
+def suite_divergence(seed: int = 99) -> list[CheckResult]:
     """Cross-check divergence routes and affine/projection behaviour."""
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
@@ -75,7 +73,7 @@ def suite_divergence(
     worst_mc = 0.0
     n_mc = 0
     worst_sym = 0.0
-    for _ in range(n_pairs):
+    for _ in range(100):
         p1, p2 = _random_gaussian_pair_1d(rng)
         for alpha in alphas:
             exact = alpha_divergence(p1, p2, alpha, Method.CLOSED_FORM_GAUSSIAN)
@@ -120,7 +118,7 @@ def suite_divergence(
     # precision stays well conditioned and the residual check is meaningful.
     worst_res = 0.0
     dp_ok = True
-    for _ in range(n_maps):
+    for _ in range(50):
         mean1, mean2 = rng.normal(0.0, 0.35, size=(2, 2))
         base1 = rng.normal(0.0, 0.6, size=(2, 2))
         spread = rng.normal(0.0, 0.3, size=(2, 2))
@@ -139,7 +137,7 @@ def suite_divergence(
         CheckResult(
             "affine invariance (closed form)",
             worst_res < 1e-6,
-            f"worst residual {worst_res:.3e} over {n_maps} random maps",
+            f"worst residual {worst_res:.3e} over 50 random maps",
         )
     )
     checks.append(
@@ -175,7 +173,7 @@ def _measured_shift(p1, p2, gamma: float) -> float:
     return p2.cdf(p1.ppf(gamma)) - gamma
 
 
-def suite_quantile_shift(seed: int = 20240902, n_pairs: int = 50) -> list[CheckResult]:
+def suite_quantile_shift(seed: int = 20240902) -> list[CheckResult]:
     """Measured quantile shifts of budgeted reweightings against the bounds."""
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
@@ -184,7 +182,7 @@ def suite_quantile_shift(seed: int = 20240902, n_pairs: int = 50) -> list[CheckR
     worst_upper = -math.inf
     worst_lower = math.inf
     budget_ok = True
-    for _ in range(n_pairs):
+    for _ in range(50):
         base_mean = float(rng.normal(0.0, 0.5))
         base_sd = float(rng.uniform(0.7, 1.5))
         cut = base_mean + base_sd * float(rng.normal(0.0, 0.8))
@@ -206,7 +204,7 @@ def suite_quantile_shift(seed: int = 20240902, n_pairs: int = 50) -> list[CheckR
         CheckResult(
             "upper shift bound never violated",
             worst_upper <= 1e-9,
-            f"max(shift - bound) = {worst_upper:.3e} over {n_pairs} pairs x 4 levels",
+            f"max(shift - bound) = {worst_upper:.3e} over 50 pairs x 4 levels",
         )
     )
     checks.append(
@@ -264,22 +262,11 @@ def _reweighted_standard_normal_sampler(r: float):
     return draw
 
 
-def _region_divergence(r: float, alpha: float) -> float:
-    """Exact divergence of the half-plane reweighting of N(0, I_2)."""
-    w_squashed = 1.0 / r
-    w_boosted = (1.0 - 0.5 / r) / 0.5
-    if alpha == 1.0:
-        return 0.5 * math.log(1.0 / w_boosted) + 0.5 * math.log(r)
-    cross = 0.5 * w_boosted ** (1.0 - alpha) + 0.5 * w_squashed ** (1.0 - alpha)
-    return (cross - 1.0) / (alpha * (alpha - 1.0))
-
-
-def suite_concentration(
-    seed: int = 20240903, samples: int = 200_000, directions: int = 64
-) -> list[CheckResult]:
+def suite_concentration(seed: int = 20240903) -> list[CheckResult]:
     """Certify the standard normal and check the degraded constants against a
     reweighted distribution with an exactly computed budget."""
     rng = np.random.default_rng(seed)
+    samples, directions = 200_000, 64
     checks: list[CheckResult] = []
     kappa_true = float(norm_cdf(-1.0))
 
@@ -314,10 +301,11 @@ def suite_concentration(
         )
     )
 
-    # Degraded constants hold for a budgeted reweighting of N(0, I_2).
+    # Degraded constants hold for a budgeted reweighting of N(0, I_2); each
+    # half-plane has mass 1/2.
     alpha1, alpha2 = 2.0, -1.0
     r = 1.25
-    eps = max(_region_divergence(r, alpha1), _region_divergence(r, alpha2))
+    eps = max(region_divergence(r, alpha1, 0.5), region_divergence(r, alpha2, 0.5))
     sampler = _reweighted_standard_normal_sampler(r)
 
     kappa2 = degrade_anti_concentration(kappa_true, eps, alpha1)
@@ -366,10 +354,8 @@ def suite_concentration(
 
 
 def run_suite(name: str, seed: int | None = None) -> list[CheckResult]:
-    if name == "divergence":
-        return suite_divergence(**({} if seed is None else {"seed": seed}))
-    if name == "concentration":
-        return suite_concentration(**({} if seed is None else {"seed": seed}))
-    if name == "quantile-shift":
-        return suite_quantile_shift(**({} if seed is None else {"seed": seed}))
-    raise ValueError(f"unknown suite {name!r}; valid: {SUITES}")
+    """The suite ``name`` at ``seed``, or at its built-in seed."""
+    suites = dict(zip(SUITES, (suite_divergence, suite_concentration, suite_quantile_shift)))
+    if name not in suites:
+        raise ValueError(f"unknown suite {name!r}; valid: {SUITES}")
+    return suites[name]() if seed is None else suites[name](seed)

@@ -22,6 +22,7 @@ from linbandits.adversarial import (
     wrap_bucb,
     wrap_ts,
 )
+from linbandits.divergence import Method, alpha_divergence, two_region_reweight
 from linbandits.normal import norm_pdf, norm_ppf
 from linbandits.posterior import GaussianPosterior
 
@@ -35,7 +36,7 @@ def test_choose_r_examples():
     assert choose_r(2.0, 0.1) == pytest.approx(1.1)
     assert choose_r(1.0, 0.1) == pytest.approx(0.5 * (1 + math.exp(0.1)), abs=1e-9)
     # unbounded regime at orders inside (0, 1): the cap is returned
-    assert choose_r(0.5, 5.0, cap=1e6) == 1e6
+    assert choose_r(0.5, 5.0) == 1e6
     # quantile variant raises the lower endpoint to 1/gamma
     assert choose_r(2.0, 0.1, gamma=0.9) == pytest.approx(0.5 * (1 / 0.9 + 1.2))
     with pytest.raises(ValueError, match="needs epsilon"):
@@ -87,14 +88,23 @@ def test_ts_sampler_short_circuits_when_pinned():
 
 def test_ts_divergence_certificate_and_analytic_bound():
     pi = _posterior(mean=(0.7, 0.2), scale=1.4, cov=[[0.9, 0.2], [0.2, 1.2]])
+    # oracle: x1 - x2 is N(0.5, 1.96 * 1.7), and the reweighting acts on it
+    # alone, so the divergence is the closed form of the 1-d difference law
+    # against its reweighting at the cut x1 - x2 = 0
+    gap, var = 0.5, 1.96 * 1.7
+    base = GaussianPosterior([gap], 1.0, [[var]])
+    mass = st.norm.cdf(-gap / math.sqrt(var))
     for alpha in (0.5, 1.0, 2.0, 3.0):
         r = choose_r(alpha, 0.1)
         pair = wrap_ts(pi, r)
         value, err = ts_divergence(pair, alpha)
         assert value <= 0.1 + 1e-9
         assert value <= analytic_budget_bound(r, alpha) + 1e-6
-        closed, _ = ts_divergence(pair, alpha, quadrature=False)
-        assert value == pytest.approx(closed, abs=1e-9)
+        boost = (1.0 - (1.0 - mass) / r) / mass
+        reweighted = two_region_reweight(gap, math.sqrt(var), 0.0, boost)
+        assert reweighted.weights[1] == pytest.approx(1.0 / r, rel=1e-12)
+        oracle = alpha_divergence(base, reweighted, alpha, Method.CLOSED_FORM_GAUSSIAN)
+        assert value == pytest.approx(oracle.value, abs=1e-9)
 
 
 def test_ts_normalization_by_nested_quadrature():
@@ -217,7 +227,7 @@ def test_bucb_choice_matches_the_quantile_comparison_over_episodes(monkeypatch, 
     for seed in (0, 1, 2):
         run_adversarial_episode(
             "linbucb", (1.0, 0.0), 2.0, 0.1, 2000, np.random.default_rng(seed),
-            gamma=gamma, r=r, certify=False,
+            gamma=gamma, r=r,
         )
     assert len(chosen) == 3 * 2000
     assert set(chosen) == ({1} if r is None else {0, 1})

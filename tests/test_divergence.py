@@ -297,21 +297,37 @@ def test_quantile_shift_bound_examples():
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
-    "degrade",
+    "name,degrade",
     [
-        lambda eps: degrade_anti_concentration(0.15866, eps, 2.0),
-        lambda eps: degrade_concentration_type1(4.0, 4.0, eps, -1.0),
-        lambda eps: degrade_concentration_type2(standard_normal_quantile_table, eps, -1.0, 0.05),
-        lambda eps: quantile_shift_bound(0.9, eps, 2.0),
-        lambda eps: derive_bound_constants(eps),
+        # each takes the budget and one more input, named by ``name``
+        ("alpha1", lambda eps, x=2.0: degrade_anti_concentration(0.15866, eps, x)),
+        ("alpha2", lambda eps, x=-1.0: degrade_concentration_type1(4.0, 4.0, eps, x)),
+        (
+            "alpha2",
+            lambda eps, x=-1.0: degrade_concentration_type2(
+                standard_normal_quantile_table, eps, x, 0.05
+            ),
+        ),
+        ("alpha", lambda eps, x=2.0: quantile_shift_bound(0.9, eps, x)),
+        ("alpha1", lambda eps, x=2.0: derive_bound_constants(eps, alpha1=x)),
+        ("c1", lambda eps, x=4.0: degrade_concentration_type1(x, 4.0, eps, -1.0)),
+        ("c1p", lambda eps, x=4.0: degrade_concentration_type1(4.0, x, eps, -1.0)),
+        ("alpha2", lambda eps, x=-1.0: derive_bound_constants(eps, alpha2=x)),
     ],
-    ids=["anti_concentration", "type1", "type2", "quantile_shift", "bound_constants"],
+    ids=[
+        "anti_concentration", "type1", "type2", "quantile_shift", "bound_constants",
+        "type1_c1", "type1_c1p", "bound_constants_alpha2",
+    ],
 )
-def test_degradation_rejects_a_non_finite_budget(degrade, epsilon):
+def test_degradation_rejects_a_non_finite_budget(name, degrade, epsilon):
     with pytest.raises(ValueError, match=f"epsilon must be finite, got {epsilon}"):
         degrade(epsilon)
     with pytest.raises(ValueError, match="epsilon must be non-negative"):
         degrade(-0.1)
+    # the order or exact constant at the same values: a NaN order gave a NaN
+    # result and type 2 blamed the budget; c1 = nan gave c2 = nan
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {epsilon}"):
+        degrade(0.1, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +468,7 @@ def test_divergence_suite_flags_biased_monte_carlo(monkeypatch):
         return res
 
     monkeypatch.setattr(verify, "alpha_divergence", biased)
-    checks = {c.name: c for c in verify.suite_divergence(seed=0, n_pairs=20, n_maps=1)}
+    checks = {c.name: c for c in verify.suite_divergence(seed=0)}
     assert not checks[_MC_CHECK].passed
     assert "family-wise" in checks[_MC_CHECK].detail
 

@@ -93,8 +93,16 @@ def test_regret_trace_invariants():
     assert np.allclose(trace.cumulative, [0.5, 0.5, 0.75])
     assert np.all(np.diff(trace.cumulative) >= 0.0)
     assert trace.final == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        RegretTrace.from_instantaneous([0.5, -0.1])
+    for bad in ([0.5, -0.1], [0.1, math.nan]):
+        with pytest.raises(ValueError, match="non-negative"):
+            RegretTrace.from_instantaneous(bad)
+
+
+@pytest.mark.parametrize("dim,n_arms", [(0, 3), (-1, 3), (3, 0)])
+def test_arm_set_needs_a_positive_dimension_and_arm_count(dim, n_arms):
+    # as make_instance does; dim=0 used to give a (3, 0) arm set
+    with pytest.raises(ValueError, match="dim and n_arms must be positive"):
+        sample_arm_set(dim, n_arms, np.random.default_rng(0))
 
 
 def test_sublinearity_ratio_shapes():

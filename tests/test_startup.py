@@ -2,11 +2,14 @@
 
 Short processes (one seed, one point of a sweep) pay for every module the
 package imports, so each SciPy submodule is loaded by the first call that
-uses it, not by ``import linbandits``.
+uses it, not by ``import linbandits``. Names are imported from their modules,
+as the README's library tour lists them; the package root re-exports none.
 """
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -60,3 +63,31 @@ def test_linbucb_adversary_loads_only_scipy_special():
     )
     assert "scipy.special" in loaded
     assert not loaded & (_HEAVY | {"scipy.sparse"})
+
+
+def test_package_root_defines_only_its_version():
+    script = (
+        "import json, sys, linbandits\n"
+        "print(json.dumps([sorted(n for n in vars(linbandits) if not n.startswith('_')),"
+        " sorted(m for m in sys.modules if m.startswith('linbandits.')),"
+        " linbandits.__version__]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    public, submodules, version = json.loads(done.stdout)
+    assert public == [] and submodules == []
+    assert version
+
+
+def test_every_name_in_the_library_tour_imports_from_its_module():
+    with open(os.path.join(os.path.dirname(_SRC), "README.md")) as fh:
+        tour = fh.read().split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(linbandits\.\w+)` \| ([^|]+) \|", tour, re.M)
+    assert len(rows) == 8
+    for module, names in rows:
+        mod = importlib.import_module(module)
+        for name in re.findall(r"`(\w+)`", names):
+            assert hasattr(mod, name), f"{module} has no {name}"
