@@ -1,19 +1,25 @@
 """Budgeted adversarial posteriors on the two-arm instance.
 
 Both constructions reweight the exact Gaussian posterior over the two arm
-coordinates while keeping the divergence to it below a chosen budget:
+coordinates while keeping the divergence to it below a chosen budget, and
+each has its own law:
 
-* the sampling adversary squashes the region where the better arm wins by a
-  factor ``1/r`` and boosts the complementary region, so one posterior draw
-  prefers the worse arm with probability at least ``1 - 1/r`` forever;
-* the quantile adversary reweights the conditional law of the second
-  coordinate around the level-``gamma`` quantile of the first marginal, which
-  it leaves exactly intact, so the worse arm's quantile index always wins.
+* the sampling adversary (``wrap_ts`` -> ``RegionReweighting``) squashes the
+  region where the better arm wins by a factor ``1/r`` and boosts the
+  complementary region, so one posterior draw prefers the worse arm with
+  probability at least ``1 - 1/r`` forever;
+* the quantile adversary (``wrap_bucb`` -> ``ConditionalReweighting``)
+  reweights the conditional law of the second coordinate around the
+  level-``gamma`` quantile of the first marginal, which it leaves exactly
+  intact, so the worse arm's quantile index always wins.
 
 Episodes step an exact-inference policy from ``algorithms``: the adversary
 reweights the law ``algorithms.posterior_params`` describes, the policy picks
 its arm from that reweighting, and the reward goes in through
-``algorithms.update``. The quantile adversary's pick needs no quantile: the
+``algorithms.update``. Only the sampling adversary builds a
+``GaussianPosterior`` (and so factorises the covariance), because it draws
+from it; the quantile adversary reads the moments straight off
+``posterior_params``. The quantile adversary's pick needs no quantile: the
 first quantile is the cut itself, so one reweighted CDF value at the cut
 ranks the two (``bucb_adversary_choice``). Each step's divergence is
 certified numerically.
@@ -21,7 +27,6 @@ certified numerically.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +41,7 @@ from .linalg import ConfidenceParams
 # Not called here: perfbench/tracer.py patches these two names on this module.
 from .linalg import beta, rls_update  # noqa: F401
 from .normal import norm_cdf, norm_pdf, norm_ppf
-from .posterior import GaussianPosterior
+from .posterior import GaussianPosterior, _checked
 
 _DEGENERACY_BAND = 1e-6
 _MAX_PROPOSALS = 1_000_000
@@ -49,39 +54,44 @@ _GH_X_COARSE, _GH_W_COARSE = np.polynomial.hermite.hermgauss(_HERMITE_NODES // 2
 _GH_NORM = 1.0 / math.sqrt(math.pi)
 
 
-class Construction(str, enum.Enum):
-    TS_REGION_REWEIGHT = "ts_region_reweight"
-    BUCB_CONDITIONAL_REWEIGHT = "bucb_conditional_reweight"
-
-
 class DegenerateRegionError(RuntimeError):
     """Raised when region-restricted rejection sampling stalls."""
 
 
 @dataclass(frozen=True)
-class AdversarialPosteriorPair:
-    """An exact two-dimensional posterior plus its budgeted reweighting.
+class RegionReweighting:
+    """The sampling adversary's law: the exact posterior ``pi`` with the
+    region where the first coordinate wins squashed by ``1/r``.
 
-    ``f_t`` is the exact-posterior mass of the region where the second
-    coordinate wins (sampling construction); ``b_t`` the level-``gamma``
-    quantile of the first marginal (quantile construction).
+    ``gap`` and ``sd`` are the mean and sd of ``x1 - x2`` under ``pi``, and
+    ``f_t`` is the exact mass of the region ``{x1 < x2}`` where the second
+    coordinate wins.
     """
 
     pi: GaussianPosterior
-    construction: Construction
     r: float
-    f_t: float | None = None
-    b_t: float | None = None
-    gamma: float | None = None
+    gap: float
+    sd: float
+    f_t: float
 
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and full covariance of the exact posterior."""
-        return self.pi.mean, self.pi.covariance
+
+@dataclass(frozen=True)
+class ConditionalReweighting:
+    """The quantile adversary's law: the exact posterior ``N(mean,
+    covariance)`` with the conditional law of the second coordinate squashed
+    by ``1/r`` below the cut ``b_t``, the level-``gamma`` quantile of the
+    first marginal, and boosted above it."""
+
+    mean: np.ndarray
+    covariance: np.ndarray
+    r: float
+    gamma: float
+    b_t: float
 
     @cached_property
     def conditional_law(self) -> tuple[float, float, float, float, float]:
         """Marginal of x1 and the conditional slope/sd of x2 given x1."""
-        mean, cov = self.moments()
+        mean, cov = self.mean, self.covariance
         m1, m2 = float(mean[0]), float(mean[1])
         sd1 = math.sqrt(float(cov[0, 0]))
         slope = float(cov[0, 1] / cov[0, 0])
@@ -92,55 +102,46 @@ class AdversarialPosteriorPair:
     def cut_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Conditional means of x2 at the Gauss-Hermite nodes of x1, and the
         cut survival there in log and linear form. None of it depends on the
-        value a CDF is evaluated at, so a pair computes it once."""
+        value a CDF is evaluated at, so a law computes it once."""
         mu, log_sf = _cut_log_survival(self, _GH_X)
         return mu, log_sf, np.exp(log_sf)
 
 
-def _diff_law(pi: GaussianPosterior) -> tuple[float, float]:
-    """Mean and sd of ``x1 - x2`` under the posterior."""
-    cov_shape = pi.cov if pi.cov.ndim == 2 else np.diag(pi.cov)
-    var = pi.scale**2 * float(cov_shape[0, 0] - 2.0 * cov_shape[0, 1] + cov_shape[1, 1])
-    return float(pi.mean[0] - pi.mean[1]), math.sqrt(max(var, 0.0))
-
-
-def region_mass_second_wins(pi: GaussianPosterior) -> float:
-    """Exact posterior mass of ``{x1 < x2}`` via the closed-form difference law."""
-    gap, sd = _diff_law(pi)
-    if sd == 0.0:
-        return 0.0 if gap >= 0.0 else 1.0
-    return float(norm_cdf(-gap / sd))
-
-
-def wrap_ts(pi: GaussianPosterior, r: float) -> AdversarialPosteriorPair:
+def wrap_ts(pi: GaussianPosterior, r: float) -> RegionReweighting:
     if pi.dim != 2:
         raise ValueError("construction lives on the two-arm coordinates")
     if r < 1.0:
         raise ValueError("reweighting factor must be at least 1")
-    return AdversarialPosteriorPair(
-        pi=pi,
-        construction=Construction.TS_REGION_REWEIGHT,
-        r=float(r),
-        f_t=region_mass_second_wins(pi),
-    )
+    cov_shape = pi.cov if pi.cov.ndim == 2 else np.diag(pi.cov)
+    var = pi.scale**2 * float(cov_shape[0, 0] - 2.0 * cov_shape[0, 1] + cov_shape[1, 1])
+    gap, sd = float(pi.mean[0] - pi.mean[1]), math.sqrt(max(var, 0.0))
+    if sd == 0.0:
+        f_t = 0.0 if gap >= 0.0 else 1.0
+    else:
+        f_t = float(norm_cdf(-gap / sd))
+    return RegionReweighting(pi=pi, r=float(r), gap=gap, sd=sd, f_t=f_t)
 
 
-def wrap_bucb(pi: GaussianPosterior, r: float, gamma: float) -> AdversarialPosteriorPair:
-    if pi.dim != 2:
+def wrap_bucb(mean, scale: float, cov, r: float, gamma: float) -> ConditionalReweighting:
+    """The conditional reweighting of ``N(mean, scale^2 * cov)``, from the
+    ``(mean, scale, cov)`` that ``algorithms.posterior_params`` returns;
+    ``cov`` is a (2, 2) matrix or a positive (2,) diagonal. Nothing is
+    factorised."""
+    mean, scale, cov = _checked(mean, scale, cov)
+    if mean.shape[0] != 2:
         raise ValueError("construction lives on the two-arm coordinates")
     if r < 1.0:
         raise ValueError("reweighting factor must be at least 1")
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    mean, cov = pi.mean, pi.cov if pi.cov.ndim == 2 else np.diag(pi.cov)
-    sd1 = pi.scale * math.sqrt(float(cov[0, 0]))
-    b_t = float(mean[0]) + sd1 * norm_ppf(gamma)
-    return AdversarialPosteriorPair(
-        pi=pi,
-        construction=Construction.BUCB_CONDITIONAL_REWEIGHT,
+    cov = cov if cov.ndim == 2 else np.diag(cov)
+    sd1 = scale * math.sqrt(float(cov[0, 0]))
+    return ConditionalReweighting(
+        mean=mean,
+        covariance=scale**2 * cov,
         r=float(r),
-        b_t=b_t,
         gamma=float(gamma),
+        b_t=float(mean[0]) + sd1 * norm_ppf(gamma),
     )
 
 
@@ -197,7 +198,7 @@ def _sample_region(
     )
 
 
-def ts_adversary_sample(pair: AdversarialPosteriorPair, rng: np.random.Generator) -> np.ndarray:
+def ts_adversary_sample(law: RegionReweighting, rng: np.random.Generator) -> np.ndarray:
     """One draw from the region-reweighted law.
 
     The winning region keeps mass ``(1/r)(1 - f_t)``; the complementary region
@@ -205,16 +206,14 @@ def ts_adversary_sample(pair: AdversarialPosteriorPair, rng: np.random.Generator
     region by rejection; when the region mass is pinned at 0 or 1 the draw
     short-circuits to the dominant region (the episode is already decided).
     """
-    if pair.construction is not Construction.TS_REGION_REWEIGHT:
-        raise ValueError("pair was not built for the sampling adversary")
-    f = pair.f_t
+    f = law.f_t
     if f < _DEGENERACY_BAND:
-        return _sample_region(pair.pi, second_wins=False, rng=rng)
+        return _sample_region(law.pi, second_wins=False, rng=rng)
     if f > 1.0 - _DEGENERACY_BAND:
-        return _sample_region(pair.pi, second_wins=True, rng=rng)
-    mass_first_wins = (1.0 - f) / pair.r
+        return _sample_region(law.pi, second_wins=True, rng=rng)
+    mass_first_wins = (1.0 - f) / law.r
     second = rng.random() >= mass_first_wins
-    return _sample_region(pair.pi, second_wins=second, rng=rng)
+    return _sample_region(law.pi, second_wins=second, rng=rng)
 
 
 def _gaussian_mass_below_quad(z0: float) -> tuple[float, float]:
@@ -241,21 +240,20 @@ def region_divergence(r: float, alpha: float, mass: float) -> float:
     return (cross - 1.0) / (alpha * (alpha - 1.0))
 
 
-def ts_divergence(pair: AdversarialPosteriorPair, alpha: float) -> tuple[float, float]:
+def ts_divergence(law: RegionReweighting, alpha: float) -> tuple[float, float]:
     """Certified divergence of the region reweighting and its error estimate.
 
     The cross integral collapses to region masses; the only numeric quantity
     is the winning-region mass, integrated from the difference law.
     """
-    gap, sd = _diff_law(pair.pi)
-    if sd > 0.0:
-        f, f_err = _gaussian_mass_below_quad(-gap / sd)
+    if law.sd > 0.0:
+        f, f_err = _gaussian_mass_below_quad(-law.gap / law.sd)
     else:
-        f, f_err = pair.f_t, 0.0
-    center = region_divergence(pair.r, alpha, f)
+        f, f_err = law.f_t, 0.0
+    center = region_divergence(law.r, alpha, f)
     spread = max(
-        abs(region_divergence(pair.r, alpha, f + f_err) - center),
-        abs(region_divergence(pair.r, alpha, f - f_err) - center),
+        abs(region_divergence(law.r, alpha, f + f_err) - center),
+        abs(region_divergence(law.r, alpha, f - f_err) - center),
     )
     return center, spread
 
@@ -268,25 +266,25 @@ def analytic_budget_bound(r: float, alpha: float) -> float:
 
 
 def _cut_log_survival(
-    pair: AdversarialPosteriorPair, nodes: np.ndarray
+    law: ConditionalReweighting, nodes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional means of x2 at the standardised Hermite ``nodes`` of x1 and
     log P(x2 > b_t | x1) there; log-space keeps the deep tail exact."""
-    m1, m2, sd1, slope, cond_sd = pair.conditional_law
+    m1, m2, sd1, slope, cond_sd = law.conditional_law
     x1 = m1 + math.sqrt(2.0) * sd1 * nodes
     mu = m2 + slope * (x1 - m1)
-    return mu, scipy.special.log_ndtr(-(pair.b_t - mu) / cond_sd)
+    return mu, scipy.special.log_ndtr(-(law.b_t - mu) / cond_sd)
 
 
-def _bucb_cdf_from_nodes(pair: AdversarialPosteriorPair, value: float) -> np.ndarray:
+def _bucb_cdf_from_nodes(law: ConditionalReweighting, value: float) -> np.ndarray:
     """Per-node conditional CDF of x2 under the reweighting, evaluated so that
     the boosted band above the cut never suffers catastrophic cancellation:
     the boosted mass is (r-1+S_b)/r * (1 - S_v/S_b) with the S_b ratio taken
     in log space."""
-    *_, cond_sd = pair.conditional_law
-    mu, log_sf_cut, sf_cut = pair.cut_nodes
-    r = pair.r
-    if value <= pair.b_t:
+    *_, cond_sd = law.conditional_law
+    mu, log_sf_cut, sf_cut = law.cut_nodes
+    r = law.r
+    if value <= law.b_t:
         f_val = norm_cdf((value - mu) / cond_sd)
         return f_val / r
     log_sf_val = scipy.special.log_ndtr(-(value - mu) / cond_sd)
@@ -294,20 +292,15 @@ def _bucb_cdf_from_nodes(pair: AdversarialPosteriorPair, value: float) -> np.nda
     return (1.0 - sf_cut) / r + boosted_mass
 
 
-def bucb_second_marginal_cdf(pair: AdversarialPosteriorPair, value: float) -> float:
+def bucb_second_marginal_cdf(law: ConditionalReweighting, value: float) -> float:
     """CDF of the second coordinate under the conditional reweighting,
     integrated over the first marginal with Gauss-Hermite nodes."""
-    return float(np.dot(_GH_W, _bucb_cdf_from_nodes(pair, value)) * _GH_NORM)
+    return float(np.dot(_GH_W, _bucb_cdf_from_nodes(law, value)) * _GH_NORM)
 
 
-def _check_bucb_level(pair: AdversarialPosteriorPair) -> None:
-    if pair.construction is not Construction.BUCB_CONDITIONAL_REWEIGHT:
-        raise ValueError("pair was not built for the quantile adversary")
-
-
-def bucb_adversary_choice(pair: AdversarialPosteriorPair) -> int:
-    """The arm whose quantile at the pair's level ``gamma`` under the
-    reweighted law is the larger, ties to arm 0: the comparison of
+def bucb_adversary_choice(law: ConditionalReweighting) -> int:
+    """The arm whose quantile at level ``gamma`` under the reweighted law is
+    the larger, ties to arm 0: the comparison of
     ``bucb_adversary_quantiles`` without finding the second quantile.
 
     The first quantile is the cut ``b`` exactly, and the reweighted second
@@ -328,13 +321,12 @@ def bucb_adversary_choice(pair: AdversarialPosteriorPair) -> int:
     narrows the margin; the tests replay whole episodes and compare every
     step.
     """
-    _check_bucb_level(pair)
-    return 0 if bucb_second_marginal_cdf(pair, pair.b_t) >= pair.gamma else 1
+    return 0 if bucb_second_marginal_cdf(law, law.b_t) >= law.gamma else 1
 
 
-def bucb_adversary_quantiles(pair: AdversarialPosteriorPair) -> tuple[float, float]:
-    """Quantiles at the pair's level ``gamma`` of the two arm values under
-    the reweighted law; the reference the episode's choice
+def bucb_adversary_quantiles(law: ConditionalReweighting) -> tuple[float, float]:
+    """Quantiles at level ``gamma`` of the two arm values under the
+    reweighted law; the reference the episode's choice
     (``bucb_adversary_choice``) is tested against.
 
     The first marginal is preserved by construction, so the first quantile is
@@ -342,29 +334,27 @@ def bucb_adversary_quantiles(pair: AdversarialPosteriorPair) -> tuple[float, flo
     marginal CDF (above the cut whenever the squashed mass stays below gamma,
     which the feasible reweighting factor guarantees).
     """
-    _check_bucb_level(pair)
-    gamma = pair.gamma
-    _, cov = pair.moments()
-    _, m2, sd1, slope, cond_sd = pair.conditional_law
-    sd2 = math.sqrt(float(cov[1, 1]))
-    b = pair.b_t
+    gamma = law.gamma
+    _, m2, sd1, slope, cond_sd = law.conditional_law
+    sd2 = math.sqrt(float(law.covariance[1, 1]))
+    b = law.b_t
 
-    at_cut = bucb_second_marginal_cdf(pair, b)
+    at_cut = bucb_second_marginal_cdf(law, b)
     if at_cut < gamma:
         width = cond_sd + sd2 + abs(slope) * sd1
         lo, hi = b, b + 0.5 * width
-        while bucb_second_marginal_cdf(pair, hi) < gamma:
+        while bucb_second_marginal_cdf(law, hi) < gamma:
             lo = hi
             hi += width
             width *= 2.0
     else:
         width = 4.0 * sd2
         lo, hi = m2 - 9.0 * sd2, b
-        while bucb_second_marginal_cdf(pair, lo) > gamma:
+        while bucb_second_marginal_cdf(law, lo) > gamma:
             lo -= width
             width *= 2.0
     second = scipy.optimize.brentq(
-        lambda v: bucb_second_marginal_cdf(pair, v) - gamma,
+        lambda v: bucb_second_marginal_cdf(law, v) - gamma,
         lo,
         hi,
         xtol=1e-14 * max(abs(b), sd2, 1.0),
@@ -373,7 +363,7 @@ def bucb_adversary_quantiles(pair: AdversarialPosteriorPair) -> tuple[float, flo
     return b, float(second)
 
 
-def bucb_divergence(pair: AdversarialPosteriorPair, alpha: float) -> tuple[float, float]:
+def bucb_divergence(law: ConditionalReweighting, alpha: float) -> tuple[float, float]:
     """Certified divergence of the conditional reweighting via quadrature over
     the first coordinate; the error estimate compares two node counts.
 
@@ -383,7 +373,7 @@ def bucb_divergence(pair: AdversarialPosteriorPair, alpha: float) -> tuple[float
     """
 
     def value(log_sf: np.ndarray, sf: np.ndarray, w: np.ndarray) -> float:
-        r = pair.r
+        r = law.r
         if alpha == 1.0:
             # S_b * log(1/w) with w = (r-1+S_b)/(r S_b); the S_b log is taken
             # from the stable log-survival values.
@@ -395,9 +385,9 @@ def bucb_divergence(pair: AdversarialPosteriorPair, alpha: float) -> tuple[float
         cross = float(np.dot(w, inner) / math.sqrt(math.pi))
         return (cross - 1.0) / (alpha * (alpha - 1.0))
 
-    _, log_sf_coarse = _cut_log_survival(pair, _GH_X_COARSE)
+    _, log_sf_coarse = _cut_log_survival(law, _GH_X_COARSE)
     coarse = value(log_sf_coarse, np.exp(log_sf_coarse), _GH_W_COARSE)
-    _, log_sf, sf = pair.cut_nodes
+    _, log_sf, sf = law.cut_nodes
     fine = value(log_sf, sf, _GH_W)
     return fine, abs(fine - coarse)
 
@@ -506,17 +496,15 @@ def run_adversarial_episode(
     for t in range(horizon):
         if r == 1.0:
             idx = algorithms.select_arm(state, config, arms, rng)
+        elif policy == "lints":
+            law = wrap_ts(GaussianPosterior(*algorithms.posterior_params(state, config)), r)
+            draw = ts_adversary_sample(law, rng)
+            divs[t] = ts_divergence(law, alpha)[0]
+            idx = 0 if draw[0] >= draw[1] else 1
         else:
-            pi = GaussianPosterior(*algorithms.posterior_params(state, config))
-            if policy == "lints":
-                pair = wrap_ts(pi, r)
-                draw = ts_adversary_sample(pair, rng)
-                divs[t] = ts_divergence(pair, alpha)[0]
-                idx = 0 if draw[0] >= draw[1] else 1
-            else:
-                pair = wrap_bucb(pi, r, gamma)
-                idx = bucb_adversary_choice(pair)
-                divs[t] = bucb_divergence(pair, alpha)[0]
+            law = wrap_bucb(*algorithms.posterior_params(state, config), r, gamma)
+            idx = bucb_adversary_choice(law)
+            divs[t] = bucb_divergence(law, alpha)[0]
 
         chosen[t] = idx
         inst[t] = 0.0 if idx == 0 else gap

@@ -499,6 +499,11 @@ class BoundConstants:
     c_hat1: Callable[[float], float]
 
     def __post_init__(self) -> None:
+        _check_finite(
+            epsilon=self.epsilon, alpha1=self.alpha1, alpha2=self.alpha2,
+            kappa1=self.kappa1, kappa2=self.kappa2, c1=self.c1, c1p=self.c1p,
+            c2=self.c2, c2p=self.c2p,
+        )
         if self.kappa2 > self.kappa1 + 1e-12:
             raise ValueError("degraded kappa must not exceed the exact one")
         if self.c2 < self.c1 - 1e-12 or self.c2p < self.c1p - 1e-12:

@@ -8,14 +8,13 @@ from scipy import integrate
 
 from linbandits import adversarial
 from linbandits.adversarial import (
-    Construction,
+    RegionReweighting,
     analytic_budget_bound,
     bucb_adversary_choice,
     bucb_adversary_quantiles,
     bucb_divergence,
     bucb_second_marginal_cdf,
     choose_r,
-    region_mass_second_wins,
     run_adversarial_episode,
     ts_adversary_sample,
     ts_divergence,
@@ -27,9 +26,13 @@ from linbandits.normal import norm_pdf, norm_ppf
 from linbandits.posterior import GaussianPosterior
 
 
-def _posterior(mean=(1.0, 0.0), scale=1.0, cov=None) -> GaussianPosterior:
+def _params(mean=(1.0, 0.0), scale=1.0, cov=None) -> tuple[np.ndarray, float, np.ndarray]:
     cov = np.eye(2) if cov is None else np.asarray(cov, dtype=float)
-    return GaussianPosterior(np.asarray(mean, dtype=float), scale, cov)
+    return np.asarray(mean, dtype=float), scale, cov
+
+
+def _posterior(**params) -> GaussianPosterior:
+    return GaussianPosterior(*_params(**params))
 
 
 def test_choose_r_examples():
@@ -49,9 +52,8 @@ def test_choose_r_examples():
 
 def test_region_mass_example():
     # oracle: x1 - x2 is normal with mean 1 and variance 2
-    pi = _posterior()
-    assert region_mass_second_wins(pi) == pytest.approx(st.norm.cdf(-1 / math.sqrt(2)), abs=1e-12)
-    pair = wrap_ts(pi, 1.1)
+    pair = wrap_ts(_posterior(), 1.1)
+    assert pair.f_t == pytest.approx(st.norm.cdf(-1 / math.sqrt(2)), abs=1e-12)
     assert (1 - pair.f_t) / 1.1 == pytest.approx(0.69113, abs=1e-5)
 
 
@@ -113,7 +115,7 @@ def test_ts_normalization_by_nested_quadrature():
     pi = _posterior(mean=(0.4, -0.1), scale=1.2, cov=[[1.0, 0.3], [0.3, 0.8]])
     r = 1.15
     pair = wrap_ts(pi, r)
-    mean, cov = pair.moments()
+    mean, cov = pi.mean, pi.covariance
     sd1 = math.sqrt(cov[0, 0])
     slope = cov[0, 1] / cov[0, 0]
     cond_sd = math.sqrt(cov[1, 1] - cov[0, 1] ** 2 / cov[0, 0])
@@ -135,9 +137,8 @@ def test_ts_normalization_by_nested_quadrature():
 
 
 def test_bucb_marginal_preservation_by_quadrature():
-    pi = _posterior(mean=(0.6, 0.1), scale=1.1, cov=[[0.8, 0.25], [0.25, 0.9]])
-    pair = wrap_bucb(pi, 1.15, 0.9)
-    mean, cov = pair.moments()
+    pair = wrap_bucb(*_params(mean=(0.6, 0.1), scale=1.1, cov=[[0.8, 0.25], [0.25, 0.9]]), 1.15, 0.9)
+    mean, cov = pair.mean, pair.covariance
     slope = cov[0, 1] / cov[0, 0]
     cond_sd = math.sqrt(cov[1, 1] - cov[0, 1] ** 2 / cov[0, 0])
     r, b = pair.r, pair.b_t
@@ -168,24 +169,23 @@ def test_bucb_quantiles_order_and_unit_reweight():
     pi = _posterior(mean=(0.8, 0.1), scale=1.3, cov=[[0.5, 0.1], [0.1, 0.7]])
     gamma = 0.9
     r = choose_r(2.0, 0.1, gamma)
-    pair = wrap_bucb(pi, r, gamma)
+    pair = wrap_bucb(pi.mean, pi.scale, pi.cov, r, gamma)
     q1, q2 = bucb_adversary_quantiles(pair)
     assert q1 == pair.b_t  # marginal preserved exactly
     assert bucb_second_marginal_cdf(pair, pair.b_t) <= 1.0 / r + 1e-9
     assert 1.0 / r < gamma
     assert q2 > q1
 
-    near_unit = wrap_bucb(pi, 1.0 + 1e-9, gamma)
+    near_unit = wrap_bucb(pi.mean, pi.scale, pi.cov, 1.0 + 1e-9, gamma)
     q1u, q2u = bucb_adversary_quantiles(near_unit)
     exact_q2 = pi.arm_value_quantiles(np.array([[0.0, 1.0]]), gamma)[0]
     assert q2u == pytest.approx(exact_q2, abs=1e-6)
 
 
 def test_bucb_divergence_certificate():
-    pi = _posterior(mean=(0.8, 0.1), scale=1.3, cov=[[0.5, 0.1], [0.1, 0.7]])
     gamma = 0.9
     r = choose_r(2.0, 0.1, gamma)
-    pair = wrap_bucb(pi, r, gamma)
+    pair = wrap_bucb(*_params(mean=(0.8, 0.1), scale=1.3, cov=[[0.5, 0.1], [0.1, 0.7]]), r, gamma)
     for alpha in (0.5, 1.0, 2.0):
         value, err = bucb_divergence(pair, alpha)
         assert 0.0 <= value <= analytic_budget_bound(r, alpha) + 1e-9
@@ -196,9 +196,8 @@ def test_bucb_divergence_certificate():
 def test_bucb_deep_tail_quantile_stays_above_cut():
     # mid-episode shape: second coordinate tightly resolved, cut far into
     # its tail; the reweighted quantile must still clear the cut
-    pi = _posterior(mean=(0.0, 0.02), scale=1.0, cov=[[1.0, 0.0], [0.0, 0.0004]])
     gamma = 0.9
-    pair = wrap_bucb(pi, 1.15, gamma)
+    pair = wrap_bucb(*_params(mean=(0.0, 0.02), scale=1.0, cov=[[1.0, 0.0], [0.0, 0.0004]]), 1.15, gamma)
     q1, q2 = bucb_adversary_quantiles(pair)
     assert pair.b_t > 1.0  # cut sits ~64 conditional sds above the mean
     assert q2 > q1
@@ -236,22 +235,19 @@ def test_bucb_choice_matches_the_quantile_comparison_over_episodes(monkeypatch, 
 def test_bucb_choice_when_the_cut_already_holds_the_level():
     # 1/r > gamma and the second coordinate sits far below the cut, so
     # F2(b) >= gamma: the reference brackets its root below the cut
-    pi = _posterior(mean=(0.0, -3.0))
-    pair = wrap_bucb(pi, 1.05, 0.9)
+    pair = wrap_bucb(*_params(mean=(0.0, -3.0)), 1.05, 0.9)
     assert bucb_second_marginal_cdf(pair, pair.b_t) >= 0.9
     q1, q2 = bucb_adversary_quantiles(pair)
     assert q2 < q1 == pair.b_t
     assert bucb_adversary_choice(pair) == 0
 
-    above = wrap_bucb(_posterior(mean=(0.0, 3.0)), 1.05, 0.9)
+    above = wrap_bucb(*_params(mean=(0.0, 3.0)), 1.05, 0.9)
     assert bucb_second_marginal_cdf(above, above.b_t) < 0.9
     assert bucb_adversary_choice(above) == _quantile_choice(above) == 1
-    with pytest.raises(ValueError, match="quantile adversary"):
-        bucb_adversary_choice(wrap_ts(pi, 1.05))
 
 
 def test_bucb_choice_reads_the_cut_once_and_ties_to_the_first_arm(monkeypatch):
-    pair = wrap_bucb(_posterior(mean=(0.8, 0.1), cov=[[0.5, 0.1], [0.1, 0.7]]), 1.2, 0.9)
+    pair = wrap_bucb(*_params(mean=(0.8, 0.1), cov=[[0.5, 0.1], [0.1, 0.7]]), 1.2, 0.9)
     evaluated = []
 
     def level_at_cut(p, value):
@@ -270,13 +266,51 @@ def test_wrap_validation():
     with pytest.raises(ValueError):
         wrap_ts(pi, 0.9)
     with pytest.raises(ValueError):
-        wrap_bucb(pi, 1.1, 1.0)
+        wrap_bucb(pi.mean, pi.scale, pi.cov, 1.1, 1.0)
     with pytest.raises(ValueError):
         wrap_ts(GaussianPosterior(np.zeros(3), 1.0, np.eye(3)), 1.1)
-    pair = wrap_ts(pi, 1.1)
-    with pytest.raises(ValueError):
-        bucb_adversary_quantiles(pair)
-    assert pair.construction is Construction.TS_REGION_REWEIGHT
+    assert isinstance(wrap_ts(pi, 1.1), RegionReweighting)
+
+    bad = [
+        ((np.zeros(3), 1.0, np.eye(3), 1.1, 0.9), "two-arm coordinates"),
+        ((np.array([0.0, math.nan]), 1.0, np.eye(2), 1.1, 0.9), "must be finite"),
+        ((np.zeros(2), 1.0, np.array([[1.0, math.inf], [0.0, 1.0]]), 1.1, 0.9), "must be finite"),
+        ((np.zeros(2), math.nan, np.eye(2), 1.1, 0.9), "scale must be"),
+        ((np.zeros(2), 1.0, np.eye(2), 0.9, 0.9), "at least 1"),
+        ((np.zeros(2), 1.0, np.eye(2), 1.1, 0.0), "gamma must lie in"),
+        ((np.zeros(2), 1.0, np.eye(2), 1.1, math.nan), "gamma must lie in"),
+    ]
+    for args, detail in bad:
+        with pytest.raises(ValueError, match=detail):
+            wrap_bucb(*args)
+
+
+def test_conditional_reweighting_holds_the_posterior_moments():
+    # the law built from posterior_params' (mean, scale, cov) holds the
+    # GaussianPosterior's covariance bit for bit, dense or diagonal
+    for cov in ([[0.8, 0.25], [0.25, 0.9]], [0.8, 0.9]):
+        params = _params(mean=(0.6, 0.1), scale=1.1, cov=cov)
+        law, pi = wrap_bucb(*params, 1.15, 0.9), GaussianPosterior(*params)
+        assert law.covariance.tobytes() == pi.covariance.tobytes()
+        assert law.mean.tobytes() == pi.mean.tobytes()
+        assert law.b_t == pytest.approx(0.6 + 1.1 * math.sqrt(0.8) * st.norm.ppf(0.9), rel=1e-14)
+
+
+@pytest.mark.parametrize("policy,per_step", [("linbucb", 0), ("lints", 1)])
+def test_only_the_sampling_adversary_factorises(monkeypatch, policy, per_step):
+    # the quantile adversary reads posterior_params' moments; only the LinTS
+    # draw builds a GaussianPosterior and so needs its Cholesky factor
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    horizon = 50
+    run_adversarial_episode(policy, (1.0, 0.0), 2.0, 0.1, horizon, np.random.default_rng(0))
+    assert calls == [(2, 2)] * (per_step * horizon)
 
 
 def test_short_episodes():

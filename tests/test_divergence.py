@@ -7,6 +7,7 @@ import scipy.stats as st
 
 from linbandits.divergence import (
     DEFAULT_KAPPA1,
+    BoundConstants,
     Method,
     ReweightedGaussian1D,
     alpha_divergence,
@@ -328,6 +329,30 @@ def test_degradation_rejects_a_non_finite_budget(name, degrade, epsilon):
     # result and type 2 blamed the budget; c1 = nan gave c2 = nan
     with pytest.raises(ValueError, match=f"{name} must be finite, got {epsilon}"):
         degrade(0.1, epsilon)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field", ["epsilon", "alpha1", "alpha2", "kappa1", "kappa2", "c1", "c1p", "c2", "c2p"]
+)
+def test_bound_constants_reject_a_non_finite_constant(field, value):
+    # a NaN kappa2 or c2 slipped past the ordering checks, which are false
+    # for NaN, and lints_regret_bound then returned NaN
+    good = dict(
+        epsilon=0.1, alpha1=2.0, alpha2=-1.0, kappa1=0.15, kappa2=0.1, c1=4.0, c1p=4.0,
+        c2=4.8, c2p=4.8, c_hat1=standard_normal_quantile_table,
+    )
+    BoundConstants(**good)
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+        BoundConstants(**{**good, field: value})
+
+
+def test_bound_constants_reject_the_nan_pair_that_gave_a_nan_bound():
+    with pytest.raises(ValueError, match="kappa2 must be finite, got nan"):
+        BoundConstants(
+            epsilon=0.1, alpha1=2, alpha2=-1, kappa1=0.15, kappa2=math.nan, c1=4, c1p=4,
+            c2=math.nan, c2p=4.8, c_hat1=standard_normal_quantile_table,
+        )
 
 
 # ---------------------------------------------------------------------------
