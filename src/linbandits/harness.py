@@ -105,6 +105,8 @@ class ExperimentConfig:
                 raise ValueError("gamma_grid must be non-empty")
             if not all(0.0 < g < 1.0 for g in self.gamma_grid):
                 raise ValueError("every gamma_grid level must lie in (0, 1)")
+            if len(set(self.gamma_grid)) != len(self.gamma_grid):
+                raise ValueError("gamma_grid levels must be distinct")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
         if self.approx_mode not in ("mean_and_cov", "cov_only"):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .adversarial import analytic_budget_bound, region_divergence
 from .divergence import (
+    DEFAULT_KAPPA1,
     Method,
     alpha_divergence,
     degrade_anti_concentration,
@@ -26,7 +27,7 @@ from .divergence import (
     two_region_reweight,
     verify_invariance,
 )
-from .normal import norm_cdf, norm_pdf, norm_ppf
+from .normal import norm_pdf, norm_ppf
 from .posterior import (
     GaussianPosterior,
     certify_anti_concentration,
@@ -268,7 +269,7 @@ def suite_concentration(seed: int = 20240903) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     samples, directions = 200_000, 64
     checks: list[CheckResult] = []
-    kappa_true = float(norm_cdf(-1.0))
+    kappa_true = DEFAULT_KAPPA1
 
     cert = certify_anti_concentration(
         standard_normal_sampler(5), directions, samples, rng

@@ -391,6 +391,22 @@ def test_sweep_bad_grid_entry_is_one_line(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_sweep_rejects_a_repeated_level(tmp_path, capsys, source):
+    path = _write_config(tmp_path, policies=("linbucb",), gamma_grid=(0.5, 0.7))
+    argv = ["sweep-gamma", path, "--grid", "0.6,0.6"]
+    if source == "file":
+        with open(path) as fh:
+            text = fh.read().replace("gamma_grid = 0.5,0.7", "gamma_grid = 0.6,0.7,0.6")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = argv[:2]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "linbandits sweep-gamma: error: gamma_grid levels must be distinct\n"
+    assert not os.path.exists(tmp_path / "out")
+
+
 @pytest.mark.parametrize("grid", ["", " "], ids=["empty", "blank"])
 def test_sweep_empty_grid_does_not_fall_back_to_the_file(tmp_path, capsys, grid):
     path = _write_config(tmp_path, policies=("linbucb",), gamma_grid=(0.5, 0.7))

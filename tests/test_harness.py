@@ -252,6 +252,7 @@ def test_names_that_cannot_round_trip_are_rejected(name):
         ("lam", -1.0),
         ("nu", math.nan),
         ("theta", (0.0, 0.0, 0.0, 0.0)),
+        ("gamma_grid", (0.6, 0.7, 0.6)),
     ],
 )
 def test_bad_numbers_rejected_before_any_run(field, value):

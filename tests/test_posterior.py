@@ -33,6 +33,24 @@ def test_norm_ppf_matches_reference_within_1e9():
         ]
     )
     assert norm_ppf(grid).tobytes() == scipy.special.ndtri(grid).tobytes()
+    # a float takes the cephes port, not SciPy: check it at the grid, at each
+    # branch edge and one ulp either side, at the extremes and on the tails
+    edges = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)])
+    tails = 10.0 ** np.random.default_rng(0).uniform(-300.0, -1.0, 10_000)
+    scalars = np.concatenate(
+        [
+            grid,
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, 1.0),
+            [5e-324, 1e-300, 1.0 - 2.0**-53],
+            tails,
+            1.0 - tails[tails > 1e-16],
+        ]
+    )
+    want = scipy.special.ndtri(scalars)
+    for p, z in zip(scalars.tolist(), want.tolist()):
+        assert norm_ppf(p).hex() == z.hex(), p
     # the levels behind the pinned outputs; a SciPy whose ndtri moves one of
     # them fails here, naming the level, before any digest does
     pinned = {
@@ -47,6 +65,15 @@ def test_norm_ppf_matches_reference_within_1e9():
         norm_ppf(0.0)
     with pytest.raises(ValueError):
         norm_ppf(1.0)
+    with pytest.raises(ValueError):
+        norm_ppf(math.nan)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hst.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@example(5e-324)
+def test_scalar_norm_ppf_is_scipy_ndtri_bit_for_bit(p):
+    assert norm_ppf(p).hex() == float(scipy.special.ndtri(p)).hex()
 
 
 def test_norm_cdf_matches_reference():
