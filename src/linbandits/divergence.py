@@ -255,19 +255,13 @@ def _closed_form(p1, p2, alpha: float) -> float | None:
     z = (edges[1:-1] - mu) / sd
     cdf_edges = np.concatenate(([0.0], np.atleast_1d(norm_cdf(z)), [1.0]))
     masses = np.diff(cdf_edges)
-    mids = [(max(lo, mu - 50 * sd) + min(hi, mu + 50 * sd)) / 2.0
-            for lo, hi in zip(edges[:-1], edges[1:])]
-
-    def weight_at(p, x):
-        cs, ws = _piecewise_weights(p)
-        return float(ws[int(np.searchsorted(np.asarray(cs), x, side="right"))])
-
-    w1 = np.array([weight_at(p1, m) for m in mids])
-    w2 = np.array([weight_at(p2, m) for m in mids])
+    # each law's weight on the refined interval that starts at each edge
+    w1, w2 = (ws[np.searchsorted(cs, edges[:-1], side="right")]
+              for cs, ws in map(_piecewise_weights, (p1, p2)))
+    if alpha == 0.0:  # KL(p2 || p1): the alpha = 1 sum on the swapped weights
+        w1, w2, alpha = w2, w1, 1.0
     if alpha == 1.0:
         return float(np.sum(w1 * np.log(w1 / w2) * masses))
-    if alpha == 0.0:
-        return float(np.sum(w2 * np.log(w2 / w1) * masses))
     cross = float(np.sum(w1**alpha * w2 ** (1.0 - alpha) * masses))
     return (cross - 1.0) / (alpha * (alpha - 1.0))
 
@@ -313,18 +307,15 @@ def _quadrature(p1, p2, alpha: float) -> tuple[float, float]:
 def _monte_carlo(
     p1, p2, alpha: float, n: int, rng: np.random.Generator
 ) -> tuple[float, float]:
-    # log-ratios in place, in the operand order of the plain expressions
+    # log-ratios in place, in the operand order of the plain expressions;
+    # KL(p2 || p1) at alpha = 0 is the alpha = 1 route on the swapped pair
     if alpha == 0.0:
-        draws = p2.sample(n, rng)
-        vals = p2.logpdf(draws)
-        vals -= p1.logpdf(draws)
-        return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
+        p1, p2, alpha = p2, p1, 1.0
+    draws = p1.sample(n, rng)
     if alpha == 1.0:
-        draws = p1.sample(n, rng)
         vals = p1.logpdf(draws)
         vals -= p2.logpdf(draws)
         return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n))
-    draws = p1.sample(n, rng)
     ratios = p2.logpdf(draws)
     ratios -= p1.logpdf(draws)
     ratios *= 1.0 - alpha
@@ -419,14 +410,15 @@ def degrade_anti_concentration(kappa1: float, epsilon: float, alpha1: float) -> 
 def degrade_concentration_type1(
     c1: float, c1p: float, epsilon: float, alpha2: float
 ) -> tuple[float, float]:
-    """Norm-containment constants after an order-``alpha2 < 0`` budget."""
+    """Norm-containment constants after an order-``alpha2 < 0`` budget; ``c2p``
+    is +inf once the divisor ``(eps a (a-1) + 1)^a`` rounds to 0."""
     _check_finite(c1=c1, c1p=c1p, alpha2=alpha2)
     if alpha2 >= 0.0:
         raise ValueError("alpha2 must be negative")
     _check_epsilon(epsilon)
     c2 = c1 + (alpha2 - 1.0) / alpha2
-    c2p = c1p / (epsilon * alpha2 * (alpha2 - 1.0) + 1.0) ** alpha2
-    return c2, c2p
+    shrink = (epsilon * alpha2 * (alpha2 - 1.0) + 1.0) ** alpha2
+    return c2, c1p / shrink if shrink > 0.0 else math.inf
 
 
 def degrade_concentration_type2(
@@ -547,9 +539,12 @@ def lints_regret_bound(
     params: ConfidenceParams, constants: BoundConstants, horizon: int, dim: int
 ) -> float:
     """High-probability regret bound for posterior-sampling selection under a
-    bounded inference error, evaluated at the union level ``delta / (4 T)``."""
+    bounded inference error, evaluated at the union level ``delta / (4 T)``;
+    +inf (vacuous) once the degraded ``kappa2`` underflows to 0."""
     if horizon < 1 or dim < 1:
         raise ValueError("horizon and dim must be positive")
+    if constants.kappa2 == 0.0:
+        return math.inf
     t = int(horizon)
     delta_prime = params.delta / (4.0 * t)
     beta_t = beta(replace(params, delta=delta_prime), t, dim)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from linbandits.adversarial import (
     bucb_divergence,
     bucb_second_marginal_cdf,
     choose_r,
+    region_divergence,
     run_adversarial_episode,
     ts_adversary_sample,
     ts_divergence,
@@ -22,6 +24,7 @@ from linbandits.adversarial import (
     wrap_ts,
 )
 from linbandits.divergence import Method, alpha_divergence, two_region_reweight
+from linbandits.linalg import REINVERT_PERIOD
 from linbandits.normal import norm_pdf, norm_ppf
 from linbandits.posterior import GaussianPosterior
 
@@ -99,7 +102,7 @@ def test_ts_divergence_certificate_and_analytic_bound():
     for alpha in (0.5, 1.0, 2.0, 3.0):
         r = choose_r(alpha, 0.1)
         pair = wrap_ts(pi, r)
-        value, err = ts_divergence(pair, alpha)
+        value = ts_divergence(pair, alpha)
         assert value <= 0.1 + 1e-9
         assert value <= analytic_budget_bound(r, alpha) + 1e-6
         boost = (1.0 - (1.0 - mass) / r) / mass
@@ -187,9 +190,9 @@ def test_bucb_divergence_certificate():
     r = choose_r(2.0, 0.1, gamma)
     pair = wrap_bucb(*_params(mean=(0.8, 0.1), scale=1.3, cov=[[0.5, 0.1], [0.1, 0.7]]), r, gamma)
     for alpha in (0.5, 1.0, 2.0):
-        value, err = bucb_divergence(pair, alpha)
+        value = bucb_divergence(pair, alpha)
         assert 0.0 <= value <= analytic_budget_bound(r, alpha) + 1e-9
-    value, _ = bucb_divergence(pair, 2.0)
+    value = bucb_divergence(pair, 2.0)
     assert value <= 0.1
 
 
@@ -201,6 +204,55 @@ def test_bucb_deep_tail_quantile_stays_above_cut():
     q1, q2 = bucb_adversary_quantiles(pair)
     assert pair.b_t > 1.0  # cut sits ~64 conditional sds above the mean
     assert q2 > q1
+
+
+def test_bucb_divergence_at_a_negative_order_is_inf_without_a_warning():
+    # the same deep-tail law: the boosted term S_b^a at a = -1 is about
+    # e^2000, past the float range
+    pair = wrap_bucb(*_params(mean=(0.0, 0.02), scale=1.0, cov=[[1.0, 0.0], [0.0, 0.0004]]), 1.15, 0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bucb_divergence(pair, -1.0) == math.inf
+        assert 0.0 < bucb_divergence(pair, 2.0) <= analytic_budget_bound(1.15, 2.0)
+
+
+@pytest.mark.parametrize("mass", [1e-200, 0.0, 1e-310])
+def test_region_divergence_at_a_negative_order_is_inf_where_the_boost_blows_up(mass):
+    # the boosted term mass * w^2 grows like 1/mass at a = -1: infinite at
+    # mass 0, past the float range at 1e-200 (w^2 alone overflows) and at
+    # 1e-310 (w itself overflows)
+    assert region_divergence(1.1, -1.0, mass) == math.inf
+    assert region_divergence(1.0, -1.0, mass) == 0.0
+
+
+def test_region_divergence_at_a_negative_order_matches_the_closed_form():
+    r, mass = 1.1, 1e-3
+    boost = (1.0 - (1.0 - mass) / r) / mass
+    base = GaussianPosterior([0.0], 1.0, [[1.0]])
+    reweighted = two_region_reweight(0.0, 1.0, norm_ppf(mass), boost)
+    oracle = alpha_divergence(base, reweighted, -1.0, Method.CLOSED_FORM_GAUSSIAN)
+    assert region_divergence(r, -1.0, mass) == pytest.approx(oracle.value, rel=1e-9)
+    # no finite bound at the negative orders
+    assert analytic_budget_bound(r, -1.0) == math.inf
+
+
+def test_certified_linbucb_posteriors_are_diagonal(monkeypatch):
+    # the arms are the coordinate axes, so the design and its inverse stay
+    # diagonal through every rank-1 update and dense re-inversion: the
+    # conditional slope is 0 and the Gauss-Hermite sums integrate a constant
+    horizon = 2000
+    assert horizon > 4 * REINVERT_PERIOD
+    off_diagonals = []
+    wrap = adversarial.wrap_bucb
+
+    def recording(mean, scale, cov, r, gamma):
+        off_diagonals.append((cov[0, 1], cov[1, 0]))
+        return wrap(mean, scale, cov, r, gamma)
+
+    monkeypatch.setattr(adversarial, "wrap_bucb", recording)
+    run_adversarial_episode("linbucb", (1.0, 0.0), 2.0, 0.1, horizon, np.random.default_rng(0))
+    assert len(off_diagonals) == horizon
+    assert all(a == 0.0 and b == 0.0 for a, b in off_diagonals)
 
 
 def _quantile_choice(pair) -> int:

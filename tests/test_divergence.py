@@ -271,6 +271,17 @@ def test_degrade_type1_examples():
         degrade_concentration_type1(1.0, 1.0, 0.1, 0.5)
 
 
+@pytest.mark.parametrize("epsilon,alpha2", [(1e308, -1.0), (1e200, -3.0)])
+def test_degrade_type1_reads_inf_where_its_divisor_underflows(epsilon, alpha2):
+    # (eps a (a-1) + 1)^a is 0.0 in floats: overflow to inf at 1e308,
+    # underflow of 1.2e201^-3 at 1e200
+    c2, c2p = degrade_concentration_type1(4.0, 4.0, epsilon, alpha2)
+    assert c2 == 4.0 + (alpha2 - 1.0) / alpha2
+    assert c2p == math.inf
+    with pytest.raises(ValueError, match="c2p must be finite"):
+        derive_bound_constants(epsilon, alpha2=alpha2)
+
+
 def test_degrade_type2_examples():
     # oracle: inverse normal CDF at the shifted level 0.05^2 / 1.2
     shifted = 0.05**2 / 1.2
@@ -369,6 +380,13 @@ def test_lints_bound_finite_and_monotone_in_budget():
     assert math.isfinite(value) and value > 0.0
     larger = lints_regret_bound(_params(20), derive_bound_constants(epsilon=0.5), 1000, 20)
     assert larger > value
+
+
+def test_lints_bound_is_vacuous_where_kappa2_underflows():
+    # kappa1^10001 underflows to 0 at alpha1 = 1.0001
+    constants = derive_bound_constants(0.1, alpha1=1.0001)
+    assert constants.kappa2 == 0.0
+    assert lints_regret_bound(_params(5), constants, 100, 5) == math.inf
 
 
 def test_lints_bound_rate_check():
