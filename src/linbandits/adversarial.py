@@ -230,19 +230,26 @@ def _gaussian_mass_below_quad(z0: float) -> float:
 def region_divergence(r: float, alpha: float, mass: float) -> float:
     """Divergence from a law to its two-region reweighting that squashes the
     region of mass ``1 - mass`` by ``1/r`` and boosts the region of mass
-    ``mass`` to renormalise: ``(sum_i mass_i w_i^(1-a) - 1)/(a(a-1))``, and
-    ``sum_i mass_i log(1/w_i)`` at the KL order. A mass outside [0, 1] is
-    clipped to it.
+    ``mass`` to renormalise: ``(sum_i mass_i w_i^(1-a) - 1)/(a(a-1))``,
+    ``sum_i mass_i log(1/w_i)`` at the KL order a = 1 and ``sum_i mass_i w_i
+    log w_i`` at the reverse KL order a = 0. A mass outside [0, 1] is clipped
+    to it.
 
-    At a negative order the boosted term ``mass * w^(1-a)`` grows like
-    ``mass^a`` as the mass shrinks, so for ``r > 1`` the divergence is +inf
-    at mass 0 and wherever it passes the float range."""
+    At an order a <= 0 the boosted term grows without bound as the mass
+    shrinks, so for ``r > 1`` the divergence is +inf at mass 0, and at a < 0
+    also wherever it passes the float range."""
     mass = min(max(mass, 0.0), 1.0)
     boost = (1.0 - (1.0 - mass) / r) / mass if mass > 0.0 else 1.0
     if alpha == 1.0:
         return math.log(1.0 / boost) * mass + math.log(r) * (1.0 - mass)
-    if alpha < 0.0 and r > 1.0 and mass == 0.0:
+    if alpha <= 0.0 and r > 1.0 and mass == 0.0:
         return math.inf
+    if alpha == 0.0:
+        # mass w log w with mass w = held and log w a difference of logs,
+        # which a subnormal mass cannot overflow
+        held = 1.0 - (1.0 - mass) / r
+        boosted = held * (math.log(held) - math.log(mass)) if held > 0.0 else 0.0
+        return boosted - (1.0 - mass) * math.log(r) / r
     try:
         lifted = boost ** (1.0 - alpha) * mass
     except OverflowError:  # only a negative order lifts past the float range
@@ -264,7 +271,7 @@ def ts_divergence(law: RegionReweighting, alpha: float) -> float:
 def analytic_budget_bound(r: float, alpha: float) -> float:
     """Divergence bound both constructions satisfy, the region divergence at
     mass 0: ``(r^(a-1) - 1)/(a(a-1))`` for positive ``a != 1``, ``log r`` at
-    the KL order, and +inf at a negative order (no bound) when ``r > 1``."""
+    the KL order, and +inf at an order <= 0 (no bound) when ``r > 1``."""
     return region_divergence(r, alpha, 0.0)
 
 

@@ -5,8 +5,10 @@ the resulting regret upper bounds.
 ``D_alpha(P1, P2) = (int p1^a p2^(1-a) - 1) / (a (a - 1))`` with the KL
 divergences as the ``a in {0, 1}`` limit cases, and the symmetry
 ``D_a(P1, P2) = D_{1-a}(P2, P1)``. Gaussian pairs and piecewise-reweighted
-Gaussians sharing one base admit closed forms; everything else goes through
-adaptive quadrature (1-D densities) or Monte Carlo (black-box samplers).
+Gaussians sharing one base admit closed forms; other univariate pairs go
+through adaptive quadrature over their bases' +-12 sd span, everything else
+through Monte Carlo (black-box samplers). Both univariate routes read a law
+as one view, ``_univariate``: its Gaussian base, cuts and weights.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import scipy
 
 from .linalg import ConfidenceParams, beta
 from .normal import norm_cdf, norm_ppf
-from .posterior import _LOG_SQRT_2PI, _TAIL_SDS, GaussianPosterior, _check_int
+from .posterior import _LOG_SQRT_2PI, GaussianPosterior, _check_int
 
 DEFAULT_MC_SAMPLES = 100_000
 # absolute tolerance of the divergence quadrature, and the allowance of an
 # affine-invariance check beyond its Monte-Carlo error
 _QUAD_TOLERANCE = 1e-10
 _INVARIANCE_TOLERANCE = 1e-6
+_TAIL_SDS = 12.0  # the quadrature truncates each law at its base mean -+ this many base sds
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +88,6 @@ class ReweightedGaussian1D:
         base = -0.5 * z * z - math.log(self.base_sd) - _LOG_SQRT_2PI
         return base + np.log(self.weights[self._interval_of(pts)])
 
-    def pdf(self, x) -> np.ndarray:
-        return np.exp(self.logpdf(x))
-
     def cdf(self, x: float) -> float:
         k = int(self._interval_of(np.asarray([x]))[0])
         z = (x - self.base_mean) / self.base_sd
@@ -122,21 +122,6 @@ class ReweightedGaussian1D:
             a + b * self.base_mean, abs(b) * self.base_sd, cuts, weights
         )
 
-    def support_bounds(self) -> tuple[float, float]:
-        return (
-            self.base_mean - _TAIL_SDS * self.base_sd,
-            self.base_mean + _TAIL_SDS * self.base_sd,
-        )
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return self.cuts
-
-    def same_base(self, other) -> bool:
-        mu, sd = _base_of(other)
-        return (
-            abs(mu - self.base_mean) <= 1e-12 and abs(sd - self.base_sd) <= 1e-12
-        )
-
 
 def two_region_reweight(
     base_mean: float, base_sd: float, cut: float, lower_weight: float
@@ -152,18 +137,16 @@ def two_region_reweight(
     return ReweightedGaussian1D(base_mean, base_sd, [cut], [lower_weight, upper_weight])
 
 
-def _base_of(p) -> tuple[float, float]:
+def _univariate(p) -> tuple[float, float, tuple[float, ...], np.ndarray] | None:
+    """``(base mean, base sd, cuts, weights)`` of a univariate law: a 1-d
+    Gaussian is its own base, with no cuts and weight 1. None for any other
+    descriptor, which neither the shared-base closed form nor the quadrature
+    takes."""
     if isinstance(p, ReweightedGaussian1D):
-        return p.base_mean, p.base_sd
+        return p.base_mean, p.base_sd, p.cuts, p.weights
     if isinstance(p, GaussianPosterior) and p.dim == 1:
-        return p._scalar
-    raise TypeError("descriptor has no univariate Gaussian base")
-
-
-def _piecewise_weights(p) -> tuple[tuple[float, ...], np.ndarray]:
-    if isinstance(p, ReweightedGaussian1D):
-        return p.cuts, p.weights
-    return (), np.asarray([1.0])
+        return (*p._scalar, (), np.ones(1))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +209,9 @@ def _gaussian_kl(p1: GaussianPosterior, p2: GaussianPosterior) -> float:
     return 0.5 * (float(np.trace(sol)) + maha - p1.dim + p2._logdet - p1._logdet)
 
 
-def _closed_form(p1, p2, alpha: float) -> float | None:
-    """Exact divergence, or None when no closed form applies."""
+def _closed_form(p1, p2, alpha: float, views) -> float | None:
+    """Exact divergence, or None when no closed form applies; ``views`` are
+    the two ``_univariate`` views."""
     if isinstance(p1, GaussianPosterior) and isinstance(p2, GaussianPosterior):
         if alpha == 1.0:
             return _gaussian_kl(p1, p2)
@@ -238,26 +222,21 @@ def _closed_form(p1, p2, alpha: float) -> float | None:
             return math.inf
         return math.expm1(log_i) / (alpha * (alpha - 1.0))
 
-    reweighted = [p for p in (p1, p2) if isinstance(p, ReweightedGaussian1D)]
-    if not reweighted:
+    # Not both Gaussian, so two views mean at least one reweighted law.
+    if None in views:
         return None
-    anchor = reweighted[0]
-    for p in (p1, p2):
-        if not (isinstance(p, (GaussianPosterior, ReweightedGaussian1D)) and p.dim == 1):
-            return None
-        if not anchor.same_base(p):
-            return None
+    (mu, sd, cuts1, _), (mu2, sd2, cuts2, _) = views
+    if abs(mu2 - mu) > 1e-12 or abs(sd2 - sd) > 1e-12:
+        return None
     # Shared base: the cross integral reduces to a sum over the refined
     # partition of weight products times base interval masses.
-    cuts = sorted(set(_piecewise_weights(p1)[0]) | set(_piecewise_weights(p2)[0]))
-    mu, sd = _base_of(p1)
+    cuts = sorted(set(cuts1) | set(cuts2))
     edges = np.concatenate(([-np.inf], cuts, [np.inf]))
     z = (edges[1:-1] - mu) / sd
     cdf_edges = np.concatenate(([0.0], np.atleast_1d(norm_cdf(z)), [1.0]))
     masses = np.diff(cdf_edges)
     # each law's weight on the refined interval that starts at each edge
-    w1, w2 = (ws[np.searchsorted(cs, edges[:-1], side="right")]
-              for cs, ws in map(_piecewise_weights, (p1, p2)))
+    w1, w2 = (ws[np.searchsorted(cs, edges[:-1], side="right")] for *_, cs, ws in views)
     if alpha == 0.0:  # KL(p2 || p1): the alpha = 1 sum on the swapped weights
         w1, w2, alpha = w2, w1, 1.0
     if alpha == 1.0:
@@ -274,11 +253,11 @@ def _point_logpdf(p) -> Callable[[float], float]:
     return lambda x: float(p.logpdf([x])[0])
 
 
-def _quadrature(p1, p2, alpha: float) -> tuple[float, float]:
-    lo1, hi1 = p1.support_bounds()
-    lo2, hi2 = p2.support_bounds()
-    lo, hi = min(lo1, lo2), max(hi1, hi2)
-    pts = sorted(c for c in (*p1.breakpoints(), *p2.breakpoints()) if lo < c < hi)
+def _quadrature(p1, p2, alpha: float, views) -> tuple[float, float]:
+    (mu1, sd1, cuts1, _), (mu2, sd2, cuts2, _) = views
+    lo = min(mu1 - _TAIL_SDS * sd1, mu2 - _TAIL_SDS * sd2)
+    hi = max(mu1 + _TAIL_SDS * sd1, mu2 + _TAIL_SDS * sd2)
+    pts = sorted(c for c in (*cuts1, *cuts2) if lo < c < hi)
     log1, log2 = _point_logpdf(p1), _point_logpdf(p2)
 
     if alpha in (0.0, 1.0):
@@ -336,7 +315,7 @@ def alpha_divergence(
 ) -> DivergenceResult:
     """Divergence of order ``alpha`` between two descriptors.
 
-    ``alpha`` of 0 or 1 dispatches to the corresponding KL divergence. The
+    A non-finite ``alpha`` raises ValueError. ``alpha`` of 0 or 1 dispatches to the corresponding KL divergence. The
     closed-form route covers Gaussian pairs (finite whenever the alpha-blended
     precision stays positive definite, infinite otherwise, flagged rather than
     raised) and reweightings of one shared Gaussian base. The Monte-Carlo
@@ -344,10 +323,12 @@ def alpha_divergence(
     integer >= 2.
     """
     alpha = float(alpha)
+    _check_finite(alpha=alpha)
     method = Method(method)
+    views = _univariate(p1), _univariate(p2)
 
     if method in (Method.AUTO, Method.CLOSED_FORM_GAUSSIAN):
-        exact = _closed_form(p1, p2, alpha)
+        exact = _closed_form(p1, p2, alpha, views)
         if exact is not None:
             return DivergenceResult(
                 alpha=alpha,
@@ -358,13 +339,11 @@ def alpha_divergence(
         if method is Method.CLOSED_FORM_GAUSSIAN:
             raise ValueError("no closed form for this descriptor pair")
 
-    has_density_1d = all(
-        hasattr(p, "support_bounds") and getattr(p, "dim", None) == 1 for p in (p1, p2)
-    )
-    if method is Method.QUADRATURE_1D or (method is Method.AUTO and has_density_1d):
-        if not has_density_1d:
+    univariate = None not in views
+    if method is Method.QUADRATURE_1D or (method is Method.AUTO and univariate):
+        if not univariate:
             raise ValueError("quadrature requires univariate descriptors with densities")
-        value, err = _quadrature(p1, p2, alpha)
+        value, err = _quadrature(p1, p2, alpha, views)
         return DivergenceResult(alpha, value, Method.QUADRATURE_1D, err)
 
     # the standard error needs two draws

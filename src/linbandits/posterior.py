@@ -40,7 +40,6 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _SIGNS = np.array([[-1.0], [1.0]])
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_TAIL_SDS = 12.0  # quadrature truncation of a univariate law, in its sds
 
 Sampler = Callable[[int, np.random.Generator], np.ndarray]
 
@@ -222,13 +221,6 @@ class GaussianPosterior:
     def ppf(self, gamma: float) -> float:
         mu, sd = self._scalar
         return mu + sd * norm_ppf(gamma)
-
-    def support_bounds(self) -> tuple[float, float]:
-        mu, sd = self._scalar
-        return mu - _TAIL_SDS * sd, mu + _TAIL_SDS * sd
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
 
 
 def best_quantile_arm(mean, scale: float, cov, arms, gamma: float) -> int:

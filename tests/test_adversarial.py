@@ -23,9 +23,14 @@ from linbandits.adversarial import (
     wrap_bucb,
     wrap_ts,
 )
-from linbandits.divergence import Method, alpha_divergence, two_region_reweight
+from linbandits.divergence import (
+    Method,
+    ReweightedGaussian1D,
+    alpha_divergence,
+    two_region_reweight,
+)
 from linbandits.linalg import REINVERT_PERIOD
-from linbandits.normal import norm_pdf, norm_ppf
+from linbandits.normal import norm_cdf, norm_pdf, norm_ppf
 from linbandits.posterior import GaussianPosterior
 
 
@@ -234,6 +239,27 @@ def test_region_divergence_at_a_negative_order_matches_the_closed_form():
     assert region_divergence(r, -1.0, mass) == pytest.approx(oracle.value, rel=1e-9)
     # no finite bound at the negative orders
     assert analytic_budget_bound(r, -1.0) == math.inf
+
+
+@pytest.mark.parametrize("r", [1.05, 1.1, 1.5, 3.0])
+@pytest.mark.parametrize("cut", [-3.0, -0.5, 0.0, 1.2, 4.0])
+def test_region_divergence_at_the_reverse_kl_order_matches_the_closed_form(r, cut):
+    # a = 0 is KL(reweighting || law) = sum_i mass_i w_i log w_i
+    mass = float(norm_cdf(cut))
+    boost = (1.0 - (1.0 - mass) / r) / mass
+    base = GaussianPosterior([0.0], 1.0, [[1.0]])
+    reweighted = ReweightedGaussian1D(0.0, 1.0, [cut], [boost, 1.0 / r])
+    oracle = alpha_divergence(base, reweighted, 0.0)
+    assert oracle.method is Method.CLOSED_FORM_GAUSSIAN
+    assert region_divergence(r, 0.0, mass) == pytest.approx(oracle.value, rel=1e-6, abs=1e-15)
+
+
+def test_region_divergence_at_the_reverse_kl_order_is_inf_at_mass_zero():
+    assert region_divergence(1.1, 0.0, 0.0) == math.inf
+    assert analytic_budget_bound(1.1, 0.0) == math.inf
+    assert region_divergence(1.0, 0.0, 0.0) == 0.0
+    # a subnormal mass leaves w itself past the float range, not the divergence
+    assert math.isfinite(region_divergence(1.1, 0.0, 1e-310))
 
 
 def test_certified_linbucb_posteriors_are_diagonal(monkeypatch):

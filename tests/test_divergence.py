@@ -215,10 +215,33 @@ def test_reweighted_descriptor_is_normalized_and_invertible():
     # density integrates to one (quadrature oracle)
     from scipy.integrate import quad
 
-    total, _ = quad(lambda x: float(q.pdf([x])[0]), -12, 13, points=[0.5], limit=200)
+    total, _ = quad(lambda x: float(np.exp(q.logpdf([x]))[0]), -12, 13, points=[0.5], limit=200)
     assert total == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
         ReweightedGaussian1D(0.0, 1.0, [0.0], [0.5, 0.5])  # does not normalize
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_order_is_rejected_on_every_route(method, alpha):
+    g1, g2 = GaussianPosterior([0.3], 1.0, [[1.21]]), GaussianPosterior([-0.2], 1.0, [[0.81]])
+    with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
+        alpha_divergence(g1, g2, alpha, method)
+
+
+def test_route_choice():
+    flat = GaussianPosterior([0.2], 1.0, [[1.44]])
+    uncut = ReweightedGaussian1D(0.2, 1.2, [], [1.0])
+    # a reweighting with no cuts still shares its base with the Gaussian
+    assert alpha_divergence(flat, uncut, 2.0).method is Method.CLOSED_FORM_GAUSSIAN
+    p = two_region_reweight(0.2, 1.2, 0.5, 0.8)
+    q = two_region_reweight(-0.1, 0.9, 0.3, 1.1)
+    assert alpha_divergence(p, q, 2.0).method is Method.QUADRATURE_1D
+    with pytest.raises(ValueError, match="no closed form for this descriptor pair"):
+        alpha_divergence(p, q, 2.0, Method.CLOSED_FORM_GAUSSIAN)
+    wide = GaussianPosterior([0.0, 0.1], 1.0, [[1.0, 0.2], [0.2, 0.5]])
+    with pytest.raises(ValueError, match="quadrature requires univariate descriptors"):
+        alpha_divergence(wide, wide, 2.0, Method.QUADRATURE_1D)
 
 
 def test_reweighted_closed_form_matches_quadrature():
@@ -617,7 +640,9 @@ def _descriptor_bits() -> dict[str, list[str]]:
     proj = big1.project([0.6, 0.8])
     out["project_mean"] = hx(proj.mean)
     out["project_cov"] = hx(proj.covariance)
-    out["project_ppf_cdf"] = hx([proj.ppf(0.9), proj.cdf(0.4), *proj.support_bounds()])
+    # the quadrature interval of a univariate law: its mean -+ 12 sds
+    mu, sd = float(proj.mean[0]), math.sqrt(float(proj.covariance[0, 0]))
+    out["project_ppf_cdf"] = hx([proj.ppf(0.9), proj.cdf(0.4), mu - 12.0 * sd, mu + 12.0 * sd])
     q = two_region_reweight(0.3, 1.1, 0.5, 0.8)
     for a in (-1.0, 0.0, 0.5, 1.0, 2.0):
         closed = Method.CLOSED_FORM_GAUSSIAN
