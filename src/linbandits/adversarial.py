@@ -22,14 +22,18 @@ from it; the quantile adversary reads the moments straight off
 ``posterior_params``. The quantile adversary's pick needs no quantile: the
 first quantile is the cut itself, so one reweighted CDF value at the cut
 ranks the two (``bucb_adversary_choice``). Each step's divergence is
-certified numerically.
+certified numerically: the sampling adversary's from the region mass, which
+``quadpack.qags`` integrates (a port of the QUADPACK routine behind
+``scipy.integrate.quad``, with the same bits, so no command loads
+``scipy.integrate``), and the quantile adversary's by Gauss-Hermite
+quadrature over the first coordinate, on nodes built at its first call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy
@@ -42,15 +46,25 @@ from .linalg import ConfidenceParams
 from .linalg import beta, rls_update  # noqa: F401
 from .normal import norm_cdf, norm_pdf, norm_ppf
 from .posterior import GaussianPosterior, _checked
+from .quadpack import qags
 
 _DEGENERACY_BAND = 1e-6
 _MAX_PROPOSALS = 1_000_000
 # choose_r's reweighting factor when the budget bounds it by nothing
 _R_CAP = 1e6
 _HERMITE_NODES = 96
-
-_GH_X, _GH_W = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
 _GH_NORM = 1.0 / math.sqrt(math.pi)
+
+
+@cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, built on the first quantile-adversary
+    call: importing ``numpy.polynomial`` and the eigensolve cost about 15 ms,
+    which no other command should pay. Read-only, since every caller shares
+    them."""
+    nodes, weights = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 class DegenerateRegionError(RuntimeError):
@@ -104,7 +118,7 @@ class ConditionalReweighting:
         keeps the deep tail exact. None of it depends on the value a CDF is
         evaluated at, so a law computes it once."""
         m1, m2, sd1, slope, cond_sd = self.conditional_law
-        x1 = m1 + math.sqrt(2.0) * sd1 * _GH_X
+        x1 = m1 + math.sqrt(2.0) * sd1 * _hermite_rule()[0]
         mu = m2 + slope * (x1 - m1)
         log_sf = scipy.special.log_ndtr(-(self.b_t - mu) / cond_sd)
         return mu, log_sf, np.exp(log_sf)
@@ -220,11 +234,13 @@ def ts_adversary_sample(law: RegionReweighting, rng: np.random.Generator) -> np.
 
 
 def _gaussian_mass_below_quad(z0: float) -> float:
-    """Standard-normal lower-tail mass by adaptive quadrature."""
+    """Standard-normal lower-tail mass by adaptive quadrature: ``qags``, the
+    QUADPACK port that gives ``scipy.integrate.quad``'s bits at these
+    arguments."""
     if z0 <= -38.0:
         return 0.0
     lo = max(-38.0, z0 - 24.0)
-    return scipy.integrate.quad(norm_pdf, lo, z0, epsabs=1e-12, limit=200)[0]
+    return qags(norm_pdf, lo, z0, epsabs=1e-12, epsrel=1.49e-8, limit=200)[0]
 
 
 def region_divergence(r: float, alpha: float, mass: float) -> float:
@@ -237,7 +253,10 @@ def region_divergence(r: float, alpha: float, mass: float) -> float:
 
     At an order a <= 0 the boosted term grows without bound as the mass
     shrinks, so for ``r > 1`` the divergence is +inf at mass 0, and at a < 0
-    also wherever it passes the float range."""
+    also wherever it passes the float range. At ``r = 1`` the reweighting is
+    the identity and the divergence is exactly 0 at every order and mass."""
+    if r == 1.0:
+        return 0.0
     mass = min(max(mass, 0.0), 1.0)
     boost = (1.0 - (1.0 - mass) / r) / mass if mass > 0.0 else 1.0
     if alpha == 1.0:
@@ -300,7 +319,7 @@ def bucb_second_marginal_cdf(law: ConditionalReweighting, value: float) -> float
     Strongly correlated laws are not certified: on 20,000 random 2-d laws the
     value at the cut was up to 0.053 off the exact ``Phi((b - m2)/sd2)/r``.
     """
-    return float(np.dot(_GH_W, _bucb_cdf_from_nodes(law, value)) * _GH_NORM)
+    return float(np.dot(_hermite_rule()[1], _bucb_cdf_from_nodes(law, value)) * _GH_NORM)
 
 
 def bucb_adversary_choice(law: ConditionalReweighting) -> int:
@@ -377,6 +396,10 @@ def bucb_divergence(law: ConditionalReweighting, alpha: float) -> float:
     overflowing when the cut sits deep in the conditional tail; at a negative
     order it grows there instead, and reads +inf past the float range.
 
+    At the reverse KL order a = 0 the per-node term is ``sum_i mass_i w_i
+    log w_i``, with the boosted ``log w`` a difference of logs and ``log
+    S_b`` from the log-survival values, like ``region_divergence`` there.
+
     Like ``bucb_second_marginal_cdf``, the sum is exact on the diagonal
     posteriors the episodes reweight and is not certified on strongly
     correlated laws: on the worst of 20,000 random ones
@@ -384,17 +407,24 @@ def bucb_divergence(law: ConditionalReweighting, alpha: float) -> float:
     against 0.01353 from an 8e6-point reference.
     """
     _, log_sf, sf = law.cut_nodes
+    weights = _hermite_rule()[1]
     r = law.r
     if alpha == 1.0:
         # S_b * log(1/w) with w = (r-1+S_b)/(r S_b); the S_b log is taken
         # from the stable log-survival values.
         squashed = math.log(r) * (1.0 - sf)
         boosted = sf * (math.log(r) + log_sf - np.log(r - 1.0 + sf))
-        return float(np.dot(_GH_W, squashed + boosted) / math.sqrt(math.pi))
+        return float(np.dot(weights, squashed + boosted) / math.sqrt(math.pi))
+    if alpha == 0.0:
+        held = (r - 1.0 + sf) / r
+        terms = -(1.0 - sf) * math.log(r) / r + held * (
+            np.log(r - 1.0 + sf) - math.log(r) - log_sf
+        )
+        return float(np.dot(weights, terms) / math.sqrt(math.pi))
     with np.errstate(over="ignore"):  # S_b^a past the float range is +inf
         lifted = ((r - 1.0 + sf) / r) ** (1.0 - alpha) * np.exp(alpha * log_sf)
     inner = r ** (alpha - 1.0) * (1.0 - sf) + lifted
-    cross = float(np.dot(_GH_W, inner) / math.sqrt(math.pi))
+    cross = float(np.dot(weights, inner) / math.sqrt(math.pi))
     return (cross - 1.0) / (alpha * (alpha - 1.0))
 
 

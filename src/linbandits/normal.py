@@ -7,9 +7,11 @@ every policy and adversary asks for) is a port of the cephes ``ndtri`` that
 SciPy's ``scipy.special.ndtri`` runs, evaluated with ``math.log`` and
 ``math.sqrt`` and pinned bit for bit to SciPy; so a bandit run never loads
 ``scipy.special``. Arrays of levels and the CDF use SciPy's ``ndtri`` and
-``ndtr``. The density stays on numpy's ``exp``, because it is the quadrature
-integrand of the certified LinTS adversary, whose results are pinned to the
-bit.
+``ndtr``. The density stays on numpy's ``exp``: it is the integrand of
+``quadpack.qags``, the QUADPACK port that gives the certified LinTS
+adversary's region mass and is pinned bit for bit to ``scipy.integrate.quad``.
+The port evaluates it on arrays of nodes and ``quad`` on one float at a time,
+so the two paths must agree to the last bit.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def norm_pdf(x):
     """Standard normal density, elementwise. A Python float skips the array
-    conversion (quadrature calls this once per point); the exponential is
-    numpy's on both paths, so the two agree to the last bit."""
+    conversion; the exponential is numpy's on both paths, so the two agree to
+    the last bit."""
     if not isinstance(x, float):
         x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / _SQRT_2PI

@@ -262,6 +262,36 @@ def test_region_divergence_at_the_reverse_kl_order_is_inf_at_mass_zero():
     assert math.isfinite(region_divergence(1.1, 0.0, 1e-310))
 
 
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("mass", [0.0, 1e-310, 1e-17, 0.3, 0.5, 1.0])
+def test_region_divergence_at_r_one_is_exactly_zero(alpha, mass):
+    # r = 1 is the identity reweighting. The general formula divided by a
+    # boost that rounds to 0 below a mass of about 1e-16 (at the KL and
+    # chi-square orders) and read -5.55e-17 at alpha 2, mass 0.3.
+    assert region_divergence(1.0, alpha, mass) == 0.0
+
+
+def test_bucb_divergence_at_the_reverse_kl_order_is_finite():
+    # this law used to raise ZeroDivisionError at alpha = 0
+    law = wrap_bucb(*_params(mean=(0.8, 0.1), scale=1.3, cov=[[0.5, 0.1], [0.1, 0.7]]), 1.15, 0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = bucb_divergence(law, 0.0)
+    assert 0.0 < value < math.inf
+
+
+@pytest.mark.parametrize("r", [1.15, 1.5, 3.0])
+@pytest.mark.parametrize("mean2", [-2.0, 0.1, 1.0, 3.0])
+def test_bucb_divergence_at_the_reverse_kl_order_matches_the_region_divergence(r, mean2):
+    # on a diagonal law the cut survival S_b is the same at every node, so
+    # the Gauss-Hermite sum is the two-region divergence at mass S_b
+    law = wrap_bucb(*_params(mean=(0.8, mean2), scale=1.3, cov=[0.5, 0.7]), r, 0.9)
+    sf = law.cut_nodes[2]
+    assert np.all(sf == sf[0])
+    expected = region_divergence(r, 0.0, float(sf[0]))
+    assert bucb_divergence(law, 0.0) == pytest.approx(expected, rel=1e-13)
+
+
 def test_certified_linbucb_posteriors_are_diagonal(monkeypatch):
     # the arms are the coordinate axes, so the design and its inverse stay
     # diagonal through every rank-1 update and dense re-inversion: the
@@ -543,7 +573,10 @@ def _bits(values) -> bytes:
 
 
 def test_float_and_array_normal_paths_agree_bitwise(monkeypatch):
-    # the points adaptive quadrature visits during one certified TS step
+    # the points adaptive quadrature visits during one certified TS step: the
+    # QUADPACK port passes the nodes of each bisection as one array (the first
+    # call adds the first rule's 21 to the first bisection's 42), where
+    # scipy.integrate.quad passes one float
     nodes = []
 
     def recording_pdf(z):
@@ -553,9 +586,10 @@ def test_float_and_array_normal_paths_agree_bitwise(monkeypatch):
     monkeypatch.setattr(adversarial, "norm_pdf", recording_pdf)
     pi = _posterior(mean=(0.7, 0.2), scale=1.4, cov=[[0.9, 0.2], [0.2, 1.2]])
     ts_divergence(wrap_ts(pi, choose_r(2.0, 0.1)), 2.0)
-    assert len(nodes) > 20 and all(type(z) is float for z in nodes)
+    assert len(nodes) >= 2 and nodes[0].shape == (63,)
+    assert all(type(z) is np.ndarray and z.shape == (42,) for z in nodes[1:])
 
-    grid = np.concatenate([nodes, np.linspace(-40.0, 40.0, 4001), [-0.0, 1e-300, 37.5]])
+    grid = np.concatenate([*nodes, np.linspace(-40.0, 40.0, 4001), [-0.0, 1e-300, 37.5]])
     assert _bits([norm_pdf(float(z)) for z in grid]) == _bits(norm_pdf(grid))
 
     levels = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 2001), [1e-300, 0.6, 0.9, 0.975]])

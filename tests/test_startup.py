@@ -22,11 +22,12 @@ _SRC = os.path.dirname(os.path.dirname(linbandits.__file__))
 _HEAVY = {"scipy.linalg", "scipy.integrate", "scipy.optimize"}
 
 
-def _scipy_modules_after(code: str) -> set[str]:
-    """SciPy submodules in ``sys.modules`` after a fresh interpreter runs ``code``."""
+def _scipy_modules_after(code: str, prefix: str = "scipy.") -> set[str]:
+    """SciPy submodules (or the modules named ``prefix...``) in ``sys.modules``
+    after a fresh interpreter runs ``code``."""
     script = (
         f"{code}\nimport sys, json\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
@@ -39,6 +40,11 @@ def _scipy_modules_after(code: str) -> set[str]:
 def test_import_loads_no_scipy_submodule():
     loaded = _scipy_modules_after("import linbandits, linbandits.cli")
     assert not loaded & (_HEAVY | {"scipy.special", "scipy.sparse", "scipy.stats"})
+
+
+def test_import_builds_no_gauss_hermite_rule():
+    # the quantile adversary builds its nodes at its first call
+    assert not _scipy_modules_after("import linbandits.cli", prefix="numpy.polynomial")
 
 
 @pytest.mark.parametrize(
@@ -74,6 +80,17 @@ def test_linbucb_adversary_loads_only_scipy_special():
     loaded = _scipy_modules_after(
         "from linbandits.cli import main\n"
         "assert main(['adversarial', '--policy', 'linbucb', '--alpha', '2',"
+        " '--epsilon', '0.1', '--horizon', '20']) == 0"
+    )
+    assert "scipy.special" in loaded
+    assert not loaded & (_HEAVY | {"scipy.sparse"})
+
+
+def test_lints_adversary_loads_only_scipy_special():
+    # the certified step's region mass comes from the QUADPACK port
+    loaded = _scipy_modules_after(
+        "from linbandits.cli import main\n"
+        "assert main(['adversarial', '--policy', 'lints', '--alpha', '2',"
         " '--epsilon', '0.1', '--horizon', '20']) == 0"
     )
     assert "scipy.special" in loaded
