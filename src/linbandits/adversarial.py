@@ -24,9 +24,10 @@ first quantile is the cut itself, so one reweighted CDF value at the cut
 ranks the two (``bucb_adversary_choice``). Each step's divergence is
 certified numerically: the sampling adversary's from the region mass, which
 ``quadpack.qags`` integrates (a port of the QUADPACK routine behind
-``scipy.integrate.quad``, with the same bits, so no command loads
-``scipy.integrate``), and the quantile adversary's by Gauss-Hermite
-quadrature over the first coordinate, on nodes built at its first call.
+``scipy.integrate.quad``, with the same bits, so the certified LinTS
+adversary does not load ``scipy.integrate``), and the quantile adversary's
+by Gauss-Hermite quadrature over the first coordinate, on nodes built at its
+first call.
 """
 
 from __future__ import annotations
@@ -405,7 +406,12 @@ def bucb_divergence(law: ConditionalReweighting, alpha: float) -> float:
     correlated laws: on the worst of 20,000 random ones
     (``|slope * sd1 / cond_sd|`` about 50-470) it gave 0.01221 at alpha=2
     against 0.01353 from an 8e6-point reference.
+
+    At ``r = 1`` the reweighting is the identity and the divergence is
+    exactly 0 at every order, as in ``region_divergence``.
     """
+    if law.r == 1.0:
+        return 0.0
     _, log_sf, sf = law.cut_nodes
     weights = _hermite_rule()[1]
     r = law.r

@@ -75,14 +75,11 @@ def _qk21(fv, a, b):
     resg = g1 * s2 + g2 * s4 + g3 * s6 + g4 * s8 + g5 * s10
     resk = (w11 * fc + w2 * s2 + w4 * s4 + w6 * s6 + w8 * s8 + w10 * s10
             + w1 * s1 + w3 * s3 + w5 * s5 + w7 * s7 + w9 * s9)
-    if min(fv) >= 0.0:  # |f| = f, so resabs adds resk's terms in resk's order
-        resabs = resk
-    else:
-        resabs = (abs(w11 * fc) + w2 * (abs(a2) + abs(b2)) + w4 * (abs(a4) + abs(b4))
-                  + w6 * (abs(a6) + abs(b6)) + w8 * (abs(a8) + abs(b8))
-                  + w10 * (abs(a10) + abs(b10)) + w1 * (abs(a1) + abs(b1))
-                  + w3 * (abs(a3) + abs(b3)) + w5 * (abs(a5) + abs(b5))
-                  + w7 * (abs(a7) + abs(b7)) + w9 * (abs(a9) + abs(b9)))
+    resabs = (abs(w11 * fc) + w2 * (abs(a2) + abs(b2)) + w4 * (abs(a4) + abs(b4))
+              + w6 * (abs(a6) + abs(b6)) + w8 * (abs(a8) + abs(b8))
+              + w10 * (abs(a10) + abs(b10)) + w1 * (abs(a1) + abs(b1))
+              + w3 * (abs(a3) + abs(b3)) + w5 * (abs(a5) + abs(b5))
+              + w7 * (abs(a7) + abs(b7)) + w9 * (abs(a9) + abs(b9)))
     h = resk * 0.5
     resasc = (w11 * abs(fc - h) + w1 * (abs(a1 - h) + abs(b1 - h))
               + w2 * (abs(a2 - h) + abs(b2 - h)) + w3 * (abs(a3 - h) + abs(b3 - h))
@@ -165,7 +162,7 @@ def _qelg(n, epstab, res3la, nres):
         delta3 = e1 - e0
         err3 = abs(delta3)
         tol3 = max(e1abs, abs(e0)) * _EPMACH
-        if err2 <= tol2 and err3 <= tol3:
+        if not (err2 > tol2 or err3 > tol3):
             # e0, e1 and e2 agree to machine accuracy: converged
             return n, res, max(err2 + err3, 0.5e1 * _EPMACH * abs(res)), nres
         e3 = epstab[k1]

@@ -280,7 +280,7 @@ def test_bucb_divergence_at_the_reverse_kl_order_is_finite():
     assert 0.0 < value < math.inf
 
 
-@pytest.mark.parametrize("r", [1.15, 1.5, 3.0])
+@pytest.mark.parametrize("r", [1.0, 1.15, 1.5, 3.0])
 @pytest.mark.parametrize("mean2", [-2.0, 0.1, 1.0, 3.0])
 def test_bucb_divergence_at_the_reverse_kl_order_matches_the_region_divergence(r, mean2):
     # on a diagonal law the cut survival S_b is the same at every node, so
@@ -290,6 +290,19 @@ def test_bucb_divergence_at_the_reverse_kl_order_matches_the_region_divergence(r
     assert np.all(sf == sf[0])
     expected = region_divergence(r, 0.0, float(sf[0]))
     assert bucb_divergence(law, 0.0) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.0, 2.0])
+def test_bucb_divergence_at_r_one_is_exactly_zero(alpha):
+    # r = 1 is the identity reweighting. The general sums read +-3.4e-57
+    # on the correlated law, and on the deep-tail law, where S_b underflows
+    # to 0, NaN at the reverse KL order and a divide warning at a = -1.
+    for mean, cov in (((0.8, 0.1), [[0.5, 0.1], [0.1, 0.7]]),
+                      ((0.0, 0.02), [[1.0, 0.0], [0.0, 0.0004]])):
+        law = wrap_bucb(*_params(mean=mean, scale=1.3, cov=cov), 1.0, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bucb_divergence(law, alpha) == 0.0
 
 
 def test_certified_linbucb_posteriors_are_diagonal(monkeypatch):

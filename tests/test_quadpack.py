@@ -148,6 +148,17 @@ def test_hard_integrands_reach_each_error_flag_through_the_extrapolation(
     assert calls
 
 
+def test_epsilon_table_with_a_nan_difference_takes_the_converged_branch():
+    # dqelg stops when `err2.gt.tol2 .or. err3.gt.tol3` is false, and a NaN
+    # difference is greater than nothing: the table (nan, 1, 1) returns its
+    # newest entry at once, keeping all three. quad cannot be the oracle
+    # here, since SciPy's quad can crash on a NaN integrand.
+    epstab = [0.0, math.nan, 1.0, 1.0] + [0.0] * (quadpack._LIMEXP - 1)
+    n, result, abserr, nres = quadpack._qelg(3, epstab, [0.0, 0.0, 0.0], 0)
+    assert (n, result, nres) == (3, 1.0, 1)
+    assert math.isnan(abserr)
+
+
 def test_invalid_limit_and_tolerance_are_rejected():
     with pytest.raises(ValueError, match="limit"):
         qags(norm_pdf, 0.0, 1.0, limit=0)
