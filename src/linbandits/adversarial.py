@@ -23,11 +23,13 @@ from it; the quantile adversary reads the moments straight off
 first quantile is the cut itself, so one reweighted CDF value at the cut
 ranks the two (``bucb_adversary_choice``). Each step's divergence is
 certified numerically: the sampling adversary's from the region mass, which
-``quadpack.qags`` integrates (a port of the QUADPACK routine behind
+``quadpack.qags_many`` integrates (a port of the QUADPACK routine behind
 ``scipy.integrate.quad``, with the same bits, so the certified LinTS
 adversary does not load ``scipy.integrate``), and the quantile adversary's
 by Gauss-Hermite quadrature over the first coordinate, on nodes built at its
-first call.
+first call. A certificate feeds nothing back into the episode, so a LinTS
+episode certifies its steps ``_CERTIFY_BLOCK`` at a time, with one density
+call for the whole block.
 """
 
 from __future__ import annotations
@@ -47,13 +49,15 @@ from .linalg import ConfidenceParams
 from .linalg import beta, rls_update  # noqa: F401
 from .normal import norm_cdf, norm_pdf, norm_ppf
 from .posterior import GaussianPosterior, _checked
-from .quadpack import qags
+from .quadpack import qags_many
 
 _DEGENERACY_BAND = 1e-6
 _MAX_PROPOSALS = 1_000_000
 # choose_r's reweighting factor when the budget bounds it by nothing
 _R_CAP = 1e6
 _HERMITE_NODES = 96
+# LinTS steps whose certificates one quadrature pass computes
+_CERTIFY_BLOCK = 64
 _GH_NORM = 1.0 / math.sqrt(math.pi)
 
 
@@ -234,14 +238,13 @@ def ts_adversary_sample(law: RegionReweighting, rng: np.random.Generator) -> np.
     return _sample_region(law.pi, second_wins=second, rng=rng)
 
 
-def _gaussian_mass_below_quad(z0: float) -> float:
-    """Standard-normal lower-tail mass by adaptive quadrature: ``qags``, the
-    QUADPACK port that gives ``scipy.integrate.quad``'s bits at these
-    arguments."""
-    if z0 <= -38.0:
-        return 0.0
-    lo = max(-38.0, z0 - 24.0)
-    return qags(norm_pdf, lo, z0, epsabs=1e-12, epsrel=1.49e-8, limit=200)[0]
+def _gaussian_masses_below_quad(z0s: list[float]) -> list[float]:
+    """Standard-normal lower-tail mass below each ``z0`` by adaptive
+    quadrature: ``qags_many``, the QUADPACK port that gives
+    ``scipy.integrate.quad``'s bits at these arguments."""
+    ends = [(max(-38.0, z0 - 24.0), z0) for z0 in z0s if z0 > -38.0]
+    masses = iter(qags_many(norm_pdf, ends, epsabs=1e-12, epsrel=1.49e-8, limit=200))
+    return [next(masses)[0] if z0 > -38.0 else 0.0 for z0 in z0s]
 
 
 def region_divergence(r: float, alpha: float, mass: float) -> float:
@@ -278,14 +281,24 @@ def region_divergence(r: float, alpha: float, mass: float) -> float:
     return (cross - 1.0) / (alpha * (alpha - 1.0))
 
 
-def ts_divergence(law: RegionReweighting, alpha: float) -> float:
-    """Certified divergence of the region reweighting.
+def ts_divergences(laws: list[RegionReweighting], alpha: float) -> list[float]:
+    """Certified divergence of each region reweighting.
 
     The cross integral collapses to region masses; the only numeric quantity
-    is the winning-region mass, integrated from the difference law.
+    is the winning-region mass, integrated from the difference law, for all
+    the laws in one quadrature pass.
     """
-    f = _gaussian_mass_below_quad(-law.gap / law.sd) if law.sd > 0.0 else law.f_t
-    return region_divergence(law.r, alpha, f)
+    z0s = [-law.gap / law.sd for law in laws if law.sd > 0.0]
+    masses = iter(_gaussian_masses_below_quad(z0s))
+    return [
+        region_divergence(law.r, alpha, next(masses) if law.sd > 0.0 else law.f_t)
+        for law in laws
+    ]
+
+
+def ts_divergence(law: RegionReweighting, alpha: float) -> float:
+    """Certified divergence of one region reweighting (``ts_divergences``)."""
+    return ts_divergences([law], alpha)[0]
 
 
 def analytic_budget_bound(r: float, alpha: float) -> float:
@@ -506,7 +519,8 @@ def run_adversarial_episode(
     coordinate of one draw from the region reweighting; LinBUCB picks the
     larger reweighted quantile with ``bucb_adversary_choice``, one CDF value
     per step. The per-step certificate is the quadrature divergence between
-    the exact posterior and its reweighting.
+    the exact posterior and its reweighting; LinTS certifies its steps in
+    blocks (``ts_divergences``), with the same values.
     """
     r = check_episode(policy, mu, alpha, epsilon, gamma, r, noise_sd)
     mu1, mu2 = float(mu[0]), float(mu[1])
@@ -530,13 +544,17 @@ def run_adversarial_episode(
     inst = np.zeros(horizon)
     divs = np.zeros(horizon)
     chosen = np.zeros(horizon, dtype=np.int64)
+    uncertified = []  # LinTS laws since the last certified block
     for t in range(horizon):
         if r == 1.0:
             idx = algorithms.select_arm(state, config, arms, rng)
         elif policy == "lints":
             law = wrap_ts(GaussianPosterior(*algorithms.posterior_params(state, config)), r)
             draw = ts_adversary_sample(law, rng)
-            divs[t] = ts_divergence(law, alpha)
+            uncertified.append(law)
+            if len(uncertified) == _CERTIFY_BLOCK or t == horizon - 1:
+                divs[t + 1 - len(uncertified):t + 1] = ts_divergences(uncertified, alpha)
+                uncertified = []
             idx = 0 if draw[0] >= draw[1] else 1
         else:
             law = wrap_bucb(*algorithms.posterior_params(state, config), r, gamma)

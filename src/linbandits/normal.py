@@ -8,10 +8,10 @@ SciPy's ``scipy.special.ndtri`` runs, evaluated with ``math.log`` and
 ``math.sqrt`` and pinned bit for bit to SciPy; so a bandit run never loads
 ``scipy.special``. Arrays of levels and the CDF use SciPy's ``ndtri`` and
 ``ndtr``. The density stays on numpy's ``exp``: it is the integrand of
-``quadpack.qags``, the QUADPACK port that gives the certified LinTS
-adversary's region mass and is pinned bit for bit to ``scipy.integrate.quad``.
-The port evaluates it on arrays of nodes and ``quad`` on one float at a time,
-so the two paths must agree to the last bit.
+``quadpack.qags_many``, the QUADPACK port that gives the certified LinTS
+adversary's region masses and is pinned bit for bit to
+``scipy.integrate.quad``. The port evaluates it on arrays of nodes and
+``quad`` on one float at a time, so the two paths must agree to the last bit.
 """
 
 from __future__ import annotations

@@ -1,18 +1,24 @@
-"""QUADPACK's QAGS (``dqagse``) in plain Python, pinned bit for bit to the
-``scipy.integrate.quad`` that runs it on a finite interval.
+"""QUADPACK's QAGS (``dqagse``) in Python and numpy, pinned bit for bit to
+the ``scipy.integrate.quad`` that runs it on a finite interval.
 
 Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner (1983): globally adaptive
 bisection with the 21-point Gauss-Kronrod rule (``dqk21``), an error list
 kept in descending order (``dqpsrt``) and Wynn's epsilon extrapolation
 (``dqelg``). Every floating-point operation runs in QUADPACK's order, so
 value, error estimate, ``ier`` and ``last`` match SciPy's (tests pin them on
-the certified LinTS adversary's integrand and on hard integrands). The one
-departure is how the integrand is called: once per bisection, on the 42 nodes
-of both halves, and the first call also takes the first rule's 21 nodes. So
-it must be elementwise and accept an array of floats, and it is evaluated at
-the first bisection's nodes even when the first rule already suffices.
-Loading ``scipy.integrate`` costs about 26 MB of resident memory; this module
-costs none.
+the certified LinTS adversary's integrand and on hard integrands).
+
+What differs is how the work is batched. numpy evaluates ``dqk21`` on many
+intervals at once (``_rules``): the nodes, the pair sums and the products
+are elementwise, and each of the rule's four sums adds its terms one at a
+time in QUADPACK's order (``np.add.accumulate``), so every rule keeps its
+bits. ``qags_many`` integrates a batch of intervals and evaluates, in one
+call of the integrand, the rule on each [a, b] and on its pieces at b down
+to ``_AHEAD`` bisections, which QAGS bisects first when the error sits at b;
+any other bisection evaluates its two halves in a call of its own. So the
+integrand must be elementwise and accept a 1-D array of floats, and it is
+evaluated at nodes QAGS may never reach. Loading ``scipy.integrate`` costs
+about 26 MB of resident memory; this module costs none.
 """
 
 from __future__ import annotations
@@ -51,48 +57,66 @@ _WG = (
 )
 
 
-def _nodes(a, b, out):
-    """Append the 21 abscissae of ``dqk21`` on [a, b] to ``out``: the centre,
-    then ``centr -/+ hlgth * xgk(j)`` for j = 1..10."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    out.append(centr)
-    for x in _XGK:
-        absc = hlgth * x
-        out.append(centr - absc)
-        out.append(centr + absc)
+# dqk21 adds its Kronrod terms in this order of the xgk indices (0-based):
+# after the centre, the Gauss pairs at xgk(2), xgk(4), ..., xgk(10), then the
+# pairs at xgk(1), xgk(3), ..., xgk(9)
+_TERMS = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+# The nodes of a rule on [-1, 1], 22 columns: the centre, -xgk in _TERMS
+# order, a spare column, +xgk in _TERMS order. Each pair of nodes sits 11
+# columns apart, and the spare column's value is set to -0.0, which adds
+# exactly nothing, so row[:11] + row[11:] is the centre and the pair sums.
+_OFFSETS = np.array([0.0] + [-_XGK[j] for j in _TERMS] + [0.0] + [_XGK[j] for j in _TERMS])
+_KRONROD = np.array([_WGK[10]] + [_WGK[j] for j in _TERMS])
+_GAUSS = np.array(_WG)  # weights of the terms at columns 1 to 5
+# resasc adds the same terms in xgk order: the centre, xgk(1), xgk(2), ...
+_RESASC_ORDER = np.array([0] + [1 + _TERMS.index(j) for j in range(10)])
+# QAGS bisects the piece at b three times on 1,734 of the 2,000 steps of a
+# certified LinTS episode (twice on the rest): its integrand, a normal
+# density, rises to b. So qags_many evaluates those pieces up front.
+_AHEAD = 3
 
 
-def _qk21(fv, a, b):
-    """``dqk21`` on [a, b] from the 21 integrand values ``fv`` in ``_nodes``
-    order: (result, abserr, resabs, resasc)."""
-    (fc, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5,
-     a6, b6, a7, b7, a8, b8, a9, b9, a10, b10) = fv
-    w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11 = _WGK
-    s2, s4, s6, s8, s10 = a2 + b2, a4 + b4, a6 + b6, a8 + b8, a10 + b10
-    s1, s3, s5, s7, s9 = a1 + b1, a3 + b3, a5 + b5, a7 + b7, a9 + b9
-    g1, g2, g3, g4, g5 = _WG
-    resg = g1 * s2 + g2 * s4 + g3 * s6 + g4 * s8 + g5 * s10
-    resk = (w11 * fc + w2 * s2 + w4 * s4 + w6 * s6 + w8 * s8 + w10 * s10
-            + w1 * s1 + w3 * s3 + w5 * s5 + w7 * s7 + w9 * s9)
-    resabs = (abs(w11 * fc) + w2 * (abs(a2) + abs(b2)) + w4 * (abs(a4) + abs(b4))
-              + w6 * (abs(a6) + abs(b6)) + w8 * (abs(a8) + abs(b8))
-              + w10 * (abs(a10) + abs(b10)) + w1 * (abs(a1) + abs(b1))
-              + w3 * (abs(a3) + abs(b3)) + w5 * (abs(a5) + abs(b5))
-              + w7 * (abs(a7) + abs(b7)) + w9 * (abs(a9) + abs(b9)))
-    h = resk * 0.5
-    resasc = (w11 * abs(fc - h) + w1 * (abs(a1 - h) + abs(b1 - h))
-              + w2 * (abs(a2 - h) + abs(b2 - h)) + w3 * (abs(a3 - h) + abs(b3 - h))
-              + w4 * (abs(a4 - h) + abs(b4 - h)) + w5 * (abs(a5 - h) + abs(b5 - h))
-              + w6 * (abs(a6 - h) + abs(b6 - h)) + w7 * (abs(a7 - h) + abs(b7 - h))
-              + w8 * (abs(a8 - h) + abs(b8 - h)) + w9 * (abs(a9 - h) + abs(b9 - h))
-              + w10 * (abs(a10 - h) + abs(b10 - h)))
-    hlgth = 0.5 * (b - a)
-    dhlgth = abs(hlgth)
-    result = resk * hlgth
-    resabs *= dhlgth
-    resasc *= dhlgth
-    abserr = abs((resk - resg) * hlgth)
+def _rules(f, ends):
+    """``dqk21`` on each interval (a, b) of ``ends``, with one call of ``f``
+    on all their nodes: per interval a list [result, abserr, resabs,
+    resasc], with abserr as ``_finish`` takes it. Every node, product and sum
+    rounds as in ``dqk21``, so the values have its bits; like QUADPACK's
+    arithmetic, numpy's here sets no floating-point error."""
+    lo, hi = np.array(ends, dtype=float).T
+    with np.errstate(all="ignore"):
+        centr = 0.5 * (lo + hi)
+        hlgth = 0.5 * (hi - lo)
+        x = np.multiply.outer(hlgth, _OFFSETS)
+        x += centr[:, None]  # centr + hlgth * -xgk rounds as centr - hlgth * xgk
+    x[:, 0] = centr  # not centr + 0.0, which turns -0.0 into 0.0
+    y = np.empty((2,) + x.shape)  # f and |f| at the nodes
+    y[0] = np.reshape(f(x.ravel()), x.shape)
+    y[0, :, 11] = -0.0
+    with np.errstate(all="ignore"):
+        np.abs(y[0], out=y[1])
+        terms = y[..., :11] + y[..., 11:]
+        resk, resabs = np.add.accumulate(terms * _KRONROD, axis=-1)[..., -1]
+        resg = np.add.accumulate(terms[0, :, 1:6] * _GAUSS, axis=-1)[:, -1]
+        dev = np.abs(y[0] - (resk * 0.5)[:, None])
+        dev[:, 11] = 0.0
+        dev = (dev[:, :11] + dev[:, 11:]) * _KRONROD
+        resasc = np.add.accumulate(dev[:, _RESASC_ORDER], axis=-1)[:, -1]
+        dhlgth = np.abs(hlgth)
+        out = np.empty((len(lo), 4))
+        out[:, 0] = resk * hlgth
+        out[:, 1] = np.abs((resk - resg) * hlgth)
+        out[:, 2] = resabs * dhlgth
+        out[:, 3] = resasc * dhlgth
+    return out.tolist()
+
+
+def _finish(rule):
+    """The end of ``dqk21`` on a rule from ``_rules``: abserr scaled by
+    min(1, (200 abserr / resasc)^1.5) and raised to the roundoff floor, in
+    Python floats: numpy's ``power`` rounds ``x**1.5`` differently from the C
+    library's ``pow`` on about 5 % of arguments in (0, 1).
+    Return (result, abserr, resabs, resasc)."""
+    result, abserr, resabs, resasc = rule
     if resasc != 0.0 and abserr != 0.0:
         ratio = 0.2e3 * abserr / resasc
         abserr = resasc * ratio**1.5 if ratio < 1.0 else resasc  # min(1, ratio^1.5)
@@ -209,21 +233,38 @@ def qags(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     ``(result, abserr, ier, last)``, with ``ier`` as ``quad``'s
     ``full_output`` reports it (0 success, 1 ``limit`` reached, 2 roundoff,
     3 bad integrand behaviour, 4 no convergence, 5 probably divergent) and
-    ``last`` the number of subintervals. ``f`` maps a float64 array of
+    ``last`` the number of subintervals. ``f`` maps a 1-D float64 array of
     abscissae to the integrand values elementwise."""
+    return qags_many(f, [(a, b)], epsabs, epsrel, limit)[0]
+
+
+def qags_many(f, intervals, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+    """``qags`` on each finite interval (a, b) of ``intervals``: a list of
+    (result, abserr, ier, last). One call of ``f`` evaluates the rules on
+    every [a, b] and on its pieces at b, so memory grows with the batch."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
     if epsabs <= 0.0 and epsrel < max(0.5e2 * _EPMACH, 0.5e-28):
         raise ValueError("tolerance too small: raise epsabs or epsrel")
-    # the first bisection always halves [a, b], so its 42 nodes go into the
-    # first rule's integrand call
-    xs = []
-    mid = 0.5 * (a + b)
-    for lo, hi in ((a, b), (a, mid), (mid, b)):
-        _nodes(lo, hi, xs)
-    fv = f(np.array(xs, dtype=float)).tolist()
-    result, abserr, defabs, resabs = _qk21(fv[:21], a, b)
-    halves = fv[21:]
+    intervals = [(float(a), float(b)) for a, b in intervals]
+    if not intervals:
+        return []
+    ends = []
+    for a, b in intervals:  # [a, b] and its pieces at b, bisected as dqagse does
+        ends.append((a, b))
+        lo = a
+        for _ in range(_AHEAD):
+            mid = 0.5 * (lo + b)
+            ends += [(lo, mid), (mid, b)]
+            lo = mid
+    rules = dict(zip(ends, _rules(f, ends)))  # a rule depends on its ends only
+    return [_dqagse(f, a, b, epsabs, epsrel, limit, rules) for a, b in intervals]
+
+
+def _dqagse(f, a, b, epsabs, epsrel, limit, rules):
+    """``dqagse`` on [a, b], reading ``dqk21`` from ``rules`` (by interval
+    ends) where it holds the interval and evaluating the rest."""
+    result, abserr, defabs, resabs = _finish(rules[(a, b)])
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     ier = 0
@@ -255,15 +296,12 @@ def qags(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        if last == 2:
-            fv = halves
+        if (a1, b1) in rules and (a2, b2) in rules:
+            rule1, rule2 = rules[(a1, b1)], rules[(a2, b2)]
         else:
-            xs = []
-            _nodes(a1, b1, xs)
-            _nodes(a2, b2, xs)
-            fv = f(np.array(xs, dtype=float)).tolist()
-        area1, error1, _, defab1 = _qk21(fv[:21], a1, b1)
-        area2, error2, _, defab2 = _qk21(fv[21:], a2, b2)
+            rule1, rule2 = _rules(f, [(a1, b1), (a2, b2)])
+        area1, error1, _, defab1 = _finish(rule1)
+        area2, error2, _, defab2 = _finish(rule2)
 
         area12 = area1 + area2
         erro12 = error1 + error2

@@ -587,9 +587,9 @@ def _bits(values) -> bytes:
 
 def test_float_and_array_normal_paths_agree_bitwise(monkeypatch):
     # the points adaptive quadrature visits during one certified TS step: the
-    # QUADPACK port passes the nodes of each bisection as one array (the first
-    # call adds the first rule's 21 to the first bisection's 42), where
-    # scipy.integrate.quad passes one float
+    # QUADPACK port passes the density arrays of nodes, 22 a rule (one spare):
+    # the rules on [a, b] and on its pieces at b, 7 in all, then the two
+    # halves of any other bisection; scipy.integrate.quad passes one float
     nodes = []
 
     def recording_pdf(z):
@@ -599,8 +599,8 @@ def test_float_and_array_normal_paths_agree_bitwise(monkeypatch):
     monkeypatch.setattr(adversarial, "norm_pdf", recording_pdf)
     pi = _posterior(mean=(0.7, 0.2), scale=1.4, cov=[[0.9, 0.2], [0.2, 1.2]])
     ts_divergence(wrap_ts(pi, choose_r(2.0, 0.1)), 2.0)
-    assert len(nodes) >= 2 and nodes[0].shape == (63,)
-    assert all(type(z) is np.ndarray and z.shape == (42,) for z in nodes[1:])
+    assert nodes and type(nodes[0]) is np.ndarray and nodes[0].shape == (154,)
+    assert all(type(z) is np.ndarray and z.shape == (44,) for z in nodes[1:])
 
     grid = np.concatenate([*nodes, np.linspace(-40.0, 40.0, 4001), [-0.0, 1e-300, 37.5]])
     assert _bits([norm_pdf(float(z)) for z in grid]) == _bits(norm_pdf(grid))

@@ -19,7 +19,12 @@ from scipy import integrate
 
 from linbandits import adversarial, quadpack
 from linbandits.normal import norm_pdf
-from linbandits.quadpack import qags
+from linbandits.quadpack import qags, qags_many
+
+
+def _quad_mass(z0):
+    lo = max(-38.0, z0 - 24.0)
+    return integrate.quad(norm_pdf, lo, z0, epsabs=1e-12, limit=200)
 
 
 def _mass_pair(z0):
@@ -27,18 +32,27 @@ def _mass_pair(z0):
     LinTS adversary's integral for ``z0``, and the port's value through
     ``adversarial``."""
     lo = max(-38.0, z0 - 24.0)
-    want = integrate.quad(norm_pdf, lo, z0, epsabs=1e-12, limit=200)
     got = qags(norm_pdf, lo, z0, epsabs=1e-12, epsrel=1.49e-8, limit=200)
-    assert adversarial._gaussian_mass_below_quad(z0) == got[0]
-    return [v.hex() for v in want], [v.hex() for v in got[:2]]
+    assert adversarial._gaussian_masses_below_quad([z0]) == [got[0]]
+    return [v.hex() for v in _quad_mass(z0)], [v.hex() for v in got[:2]]
 
 
 def _mismatches(zs):
+    """z0 values where the port differs from ``quad``, one integral at a
+    time and in batches of ``adversarial._CERTIFY_BLOCK``, as an episode
+    certifies."""
+    zs = [float(z0) for z0 in zs]
     out = []
     for z0 in zs:
-        want, got = _mass_pair(float(z0))
+        want, got = _mass_pair(z0)
         if want != got:
-            out.append((float(z0).hex(), want, got))
+            out.append((z0.hex(), want, got))
+    block = adversarial._CERTIFY_BLOCK
+    for i in range(0, len(zs), block):
+        batch = zs[i:i + block]
+        got = adversarial._gaussian_masses_below_quad(batch)
+        out += [(z0.hex(), "batch") for z0, g in zip(batch, got)
+                if z0 > -38.0 and g != _quad_mass(z0)[0]]
     return out
 
 
@@ -57,17 +71,18 @@ def test_gaussian_mass_matches_quad_on_a_grid(monkeypatch):
 
 
 def test_gaussian_mass_matches_quad_over_a_certified_lints_episode(monkeypatch):
-    # every z0 of the first criterion-4 LinTS episode (alpha 2, epsilon 0.1)
-    seen = []
-    mass = adversarial._gaussian_mass_below_quad
+    # every z0 of the first criterion-4 LinTS episode (alpha 2, epsilon 0.1),
+    # which certifies its 2,000 steps in blocks
+    blocks = []
+    masses = adversarial._gaussian_masses_below_quad
     monkeypatch.setattr(
-        adversarial, "_gaussian_mass_below_quad", lambda z0: seen.append(z0) or mass(z0)
+        adversarial, "_gaussian_masses_below_quad", lambda z0s: blocks.append(z0s) or masses(z0s)
     )
     rng = np.random.default_rng(np.random.SeedSequence(entropy=4242, spawn_key=(0,)))
     adversarial.run_adversarial_episode("lints", (1.0, 0.0), 2.0, 0.1, 2000, rng, gamma=0.9)
     monkeypatch.undo()
-    assert len(seen) == 2000
-    assert _mismatches(seen) == []
+    assert [len(b) for b in blocks] == [64] * 31 + [16]
+    assert _mismatches([z0 for b in blocks for z0 in b]) == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -146,6 +161,27 @@ def test_hard_integrands_reach_each_error_flag_through_the_extrapolation(
     g, a, b = _HARD[name]
     assert qags(_vectorised(g), a, b, epsabs, epsrel, limit)[2] == ier
     assert calls
+
+
+def test_a_batch_gives_each_interval_what_it_gets_alone():
+    # qags_many evaluates the rules of the whole batch up front and shares
+    # them by interval ends; each result is still its interval's alone, an
+    # interval repeated in the batch included
+    def bits(results):
+        return [(r.hex(), e.hex(), ier, last) for r, e, ier, last in results]
+
+    assert qags_many(norm_pdf, []) == []
+    for name in ("sin_50x", "peak", "log"):
+        g, a, b = _HARD[name]
+        f = _vectorised(g)
+        intervals = [(a, b), (a, 0.5 * (a + b)), (0.25 * a + 0.75 * b, b), (a, b)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            want = [integrate.quad(g, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=50)[:2]
+                    for lo, hi in intervals]
+        got = qags_many(f, intervals, 1e-12, 1e-10, 50)
+        assert bits(got) == bits([qags(f, lo, hi, 1e-12, 1e-10, 50) for lo, hi in intervals])
+        assert [(r.hex(), e.hex()) for r, e, _, _ in got] == [(r.hex(), e.hex()) for r, e in want]
 
 
 def test_epsilon_table_with_a_nan_difference_takes_the_converged_branch():
