@@ -7,7 +7,9 @@ each has its own law:
 * the sampling adversary (``wrap_ts`` -> ``RegionReweighting``) squashes the
   region where the better arm wins by a factor ``1/r`` and boosts the
   complementary region, so one posterior draw prefers the worse arm with
-  probability at least ``1 - 1/r`` forever;
+  probability at least ``1 - 1/r`` while the exact mass ``f_t`` of the
+  worse arm's region stays at least ``_DEGENERACY_BAND`` (1e-6); below it
+  the draw keeps to the better arm's region;
 * the quantile adversary (``wrap_bucb`` -> ``ConditionalReweighting``)
   reweights the conditional law of the second coordinate around the
   level-``gamma`` quantile of the first marginal, which it leaves exactly
@@ -29,7 +31,7 @@ adversary does not load ``scipy.integrate``), and the quantile adversary's
 by Gauss-Hermite quadrature over the first coordinate, on nodes built at its
 first call. A certificate feeds nothing back into the episode, so a LinTS
 episode certifies its steps ``_CERTIFY_BLOCK`` at a time, with one density
-call for the whole block.
+call per bisection round of the whole block.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .posterior import GaussianPosterior, _checked
 from .quadpack import qags_many
 
 _DEGENERACY_BAND = 1e-6
-_MAX_PROPOSALS = 1_000_000
 # choose_r's reweighting factor when the budget bounds it by nothing
 _R_CAP = 1e6
 _HERMITE_NODES = 96
@@ -73,7 +74,8 @@ def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 class DegenerateRegionError(RuntimeError):
-    """Raised when region-restricted rejection sampling stalls."""
+    """Raised when region-restricted rejection sampling finds no draw in a
+    region the posterior cannot reach."""
 
 
 @dataclass(frozen=True)
@@ -205,37 +207,34 @@ def choose_r(alpha: float, epsilon: float, gamma: float | None = None) -> float:
     return 0.5 * (lower + min(upper, _R_CAP))
 
 
-def _sample_region(
-    pi: GaussianPosterior, second_wins: bool, rng: np.random.Generator
-) -> np.ndarray:
-    proposals = 0
-    while proposals < _MAX_PROPOSALS:
-        batch = pi.sample(128, rng)
-        proposals += batch.shape[0]
-        mask = batch[:, 0] < batch[:, 1] if second_wins else batch[:, 0] >= batch[:, 1]
-        if np.any(mask):
-            return batch[np.argmax(mask)]
-    raise DegenerateRegionError(
-        "region-restricted sampling stalled; the region mass is numerically pinned"
-    )
-
-
 def ts_adversary_sample(law: RegionReweighting, rng: np.random.Generator) -> np.ndarray:
     """One draw from the region-reweighted law.
 
     The winning region keeps mass ``(1/r)(1 - f_t)``; the complementary region
-    absorbs the rest. Sampling restricts the exact posterior to the selected
-    region by rejection; when the region mass is pinned at 0 or 1 the draw
-    short-circuits to the dominant region (the episode is already decided).
+    absorbs the rest. One uniform picks the region, or, when ``f_t`` is
+    within ``_DEGENERACY_BAND`` of 0 or 1, the dominant one (the episode is
+    already decided). Rejection then restricts the exact posterior to it and
+    gives up only after ``64/p`` proposals, p the region's base mass: a
+    region the posterior reaches is missed with probability about e^-64.
     """
     f = law.f_t
-    if f < _DEGENERACY_BAND:
-        return _sample_region(law.pi, second_wins=False, rng=rng)
-    if f > 1.0 - _DEGENERACY_BAND:
-        return _sample_region(law.pi, second_wins=True, rng=rng)
-    mass_first_wins = (1.0 - f) / law.r
-    second = rng.random() >= mass_first_wins
-    return _sample_region(law.pi, second_wins=second, rng=rng)
+    if _DEGENERACY_BAND <= f <= 1.0 - _DEGENERACY_BAND:
+        second = rng.random() >= (1.0 - f) / law.r
+    else:
+        second = f > 0.5
+    mass = f if second else 1.0 - f
+    proposals = 0
+    while True:
+        batch = law.pi.sample(128, rng)
+        proposals += batch.shape[0]
+        mask = batch[:, 0] < batch[:, 1] if second else batch[:, 0] >= batch[:, 1]
+        if np.any(mask):
+            return batch[np.argmax(mask)]
+        if not proposals * mass < 64.0:  # a NaN mass gives up as well
+            raise DegenerateRegionError(
+                f"no draw in a region of base mass {mass:.3g} after {proposals} "
+                "proposals: the posterior does not reach it"
+            )
 
 
 def _gaussian_masses_below_quad(z0s: list[float]) -> list[float]:

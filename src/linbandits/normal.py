@@ -11,7 +11,8 @@ SciPy's ``scipy.special.ndtri`` runs, evaluated with ``math.log`` and
 ``quadpack.qags_many``, the QUADPACK port that gives the certified LinTS
 adversary's region masses and is pinned bit for bit to
 ``scipy.integrate.quad``. The port evaluates it on arrays of nodes and
-``quad`` on one float at a time, so the two paths must agree to the last bit.
+``quad`` on one float at a time, which goes through the same array path as
+a 0-d array, so the two agree to the last bit.
 """
 
 from __future__ import annotations
@@ -26,11 +27,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def norm_pdf(x):
-    """Standard normal density, elementwise. A Python float skips the array
-    conversion; the exponential is numpy's on both paths, so the two agree to
-    the last bit."""
-    if not isinstance(x, float):
-        x = np.asarray(x, dtype=float)
+    """Standard normal density, elementwise, on numpy's ``exp``."""
+    x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 

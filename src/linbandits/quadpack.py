@@ -12,13 +12,13 @@ What differs is how the work is batched. numpy evaluates ``dqk21`` on many
 intervals at once (``_rules``): the nodes, the pair sums and the products
 are elementwise, and each of the rule's four sums adds its terms one at a
 time in QUADPACK's order (``np.add.accumulate``), so every rule keeps its
-bits. ``qags_many`` integrates a batch of intervals and evaluates, in one
-call of the integrand, the rule on each [a, b] and on its pieces at b down
-to ``_AHEAD`` bisections, which QAGS bisects first when the error sits at b;
-any other bisection evaluates its two halves in a call of its own. So the
-integrand must be elementwise and accept a 1-D array of floats, and it is
-evaluated at nodes QAGS may never reach. Loading ``scipy.integrate`` costs
-about 26 MB of resident memory; this module costs none.
+bits. ``_dqagse`` asks for the rules it needs next, [a, b] first and then
+the two halves of each bisection, and ``qags_many`` moves a batch of
+integrals forward in lockstep, with one call of the integrand per round on
+the nodes every unfinished integral asked for. So the integrand must be
+elementwise and accept a 1-D array of floats, and a batch makes as many
+calls as its longest integral has subintervals. Loading ``scipy.integrate``
+costs about 26 MB of resident memory; this module costs none.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ _KRONROD = np.array([_WGK[10]] + [_WGK[j] for j in _TERMS])
 _GAUSS = np.array(_WG)  # weights of the terms at columns 1 to 5
 # resasc adds the same terms in xgk order: the centre, xgk(1), xgk(2), ...
 _RESASC_ORDER = np.array([0] + [1 + _TERMS.index(j) for j in range(10)])
-# QAGS bisects the piece at b three times on 1,734 of the 2,000 steps of a
-# certified LinTS episode (twice on the rest): its integrand, a normal
-# density, rises to b. So qags_many evaluates those pieces up front.
-_AHEAD = 3
 
 
 def _rules(f, ends):
@@ -240,31 +236,35 @@ def qags(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
 
 def qags_many(f, intervals, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     """``qags`` on each finite interval (a, b) of ``intervals``: a list of
-    (result, abserr, ier, last). One call of ``f`` evaluates the rules on
-    every [a, b] and on its pieces at b, so memory grows with the batch."""
+    (result, abserr, ier, last). The integrals advance in lockstep: each
+    round makes one call of ``f`` on the nodes of every rule the unfinished
+    ones ask for, so memory grows with the batch."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
     if epsabs <= 0.0 and epsrel < max(0.5e2 * _EPMACH, 0.5e-28):
         raise ValueError("tolerance too small: raise epsabs or epsrel")
-    intervals = [(float(a), float(b)) for a, b in intervals]
-    if not intervals:
-        return []
-    ends = []
-    for a, b in intervals:  # [a, b] and its pieces at b, bisected as dqagse does
-        ends.append((a, b))
-        lo = a
-        for _ in range(_AHEAD):
-            mid = 0.5 * (lo + b)
-            ends += [(lo, mid), (mid, b)]
-            lo = mid
-    rules = dict(zip(ends, _rules(f, ends)))  # a rule depends on its ends only
-    return [_dqagse(f, a, b, epsabs, epsrel, limit, rules) for a, b in intervals]
+    runs = [_dqagse(float(a), float(b), epsabs, epsrel, limit) for a, b in intervals]
+    out = [None] * len(runs)
+    asks = {i: next(run) for i, run in enumerate(runs)}
+    while asks:
+        rules = _rules(f, [ends for ask in asks.values() for ends in ask])
+        k = 0
+        for i, ask in list(asks.items()):
+            try:
+                asks[i] = runs[i].send(rules[k:k + len(ask)])
+            except StopIteration as done:
+                out[i] = done.value
+                del asks[i]
+            k += len(ask)
+    return out
 
 
-def _dqagse(f, a, b, epsabs, epsrel, limit, rules):
-    """``dqagse`` on [a, b], reading ``dqk21`` from ``rules`` (by interval
-    ends) where it holds the interval and evaluating the rest."""
-    result, abserr, defabs, resabs = _finish(rules[(a, b)])
+def _dqagse(a, b, epsabs, epsrel, limit):
+    """``dqagse`` on [a, b] as a generator: it yields the list of intervals
+    whose ``dqk21`` rules it needs next, is sent those rules (from
+    ``_rules``), and returns (result, abserr, ier, last)."""
+    (rule,) = yield [(a, b)]
+    result, abserr, defabs, resabs = _finish(rule)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     ier = 0
@@ -296,10 +296,7 @@ def _dqagse(f, a, b, epsabs, epsrel, limit, rules):
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        if (a1, b1) in rules and (a2, b2) in rules:
-            rule1, rule2 = rules[(a1, b1)], rules[(a2, b2)]
-        else:
-            rule1, rule2 = _rules(f, [(a1, b1), (a2, b2)])
+        rule1, rule2 = yield [(a1, b1), (a2, b2)]
         area1, error1, _, defab1 = _finish(rule1)
         area2, error2, _, defab2 = _finish(rule2)
 

@@ -96,6 +96,46 @@ def test_ts_sampler_short_circuits_when_pinned():
     assert draw[0] >= draw[1]
 
 
+def _count_proposals(monkeypatch):
+    proposals = []
+    sample = GaussianPosterior.sample
+    monkeypatch.setattr(
+        GaussianPosterior, "sample", lambda self, n, rng: proposals.append(n) or sample(self, n, rng)
+    )
+    return proposals
+
+
+def test_ts_sampler_reaches_a_region_of_mass_near_the_band(monkeypatch):
+    # gap/sd = 4.67 puts the second region's mass at 1.5e-6, just outside the
+    # band, and r = 100 picks that region with probability 0.99; at this seed
+    # the rejection draw needs more than 10^6 proposals, and it still lands
+    pair = wrap_ts(_posterior(mean=(4.67 * math.sqrt(2.0), 0.0)), 100.0)
+    assert 1e-6 < pair.f_t < 2e-6
+    proposals = _count_proposals(monkeypatch)
+    draw = ts_adversary_sample(pair, np.random.default_rng(14))
+    assert draw[0] < draw[1]
+    assert sum(proposals) > 1_000_000
+
+
+def test_ts_sampler_raises_on_a_region_the_posterior_cannot_reach(monkeypatch):
+    # f_t says 0.5, but the posterior sits 35 sds inside {x1 >= x2}: the
+    # second region, which r = 1e6 picks, is given up after 64/0.5 proposals
+    pi = _posterior(mean=(50.0, 0.0))
+    pair = RegionReweighting(pi=pi, r=1e6, gap=50.0, sd=math.sqrt(2.0), f_t=0.5)
+    proposals = _count_proposals(monkeypatch)
+    with pytest.raises(adversarial.DegenerateRegionError, match="does not reach"):
+        ts_adversary_sample(pair, np.random.default_rng(0))
+    assert proposals == [128]
+
+
+def test_lints_episode_that_needed_over_a_million_proposals_completes():
+    # criterion 4's LinTS episode at alpha 3, epsilon 0.2 and seed 0: f_t
+    # lingers just outside the band, where a draw needs about 1/f_t proposals
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0,)))
+    ep = run_adversarial_episode("lints", (1.0, 0.0), 3.0, 0.2, 2000, rng)
+    assert np.all(ep.divergences <= 0.2)
+
+
 def test_ts_divergence_certificate_and_analytic_bound():
     pi = _posterior(mean=(0.7, 0.2), scale=1.4, cov=[[0.9, 0.2], [0.2, 1.2]])
     # oracle: x1 - x2 is N(0.5, 1.96 * 1.7), and the reweighting acts on it
@@ -588,8 +628,8 @@ def _bits(values) -> bytes:
 def test_float_and_array_normal_paths_agree_bitwise(monkeypatch):
     # the points adaptive quadrature visits during one certified TS step: the
     # QUADPACK port passes the density arrays of nodes, 22 a rule (one spare):
-    # the rules on [a, b] and on its pieces at b, 7 in all, then the two
-    # halves of any other bisection; scipy.integrate.quad passes one float
+    # the rule on [a, b], then the two halves of each bisection, 44 nodes per
+    # unfinished integral; scipy.integrate.quad passes one float
     nodes = []
 
     def recording_pdf(z):
@@ -599,7 +639,7 @@ def test_float_and_array_normal_paths_agree_bitwise(monkeypatch):
     monkeypatch.setattr(adversarial, "norm_pdf", recording_pdf)
     pi = _posterior(mean=(0.7, 0.2), scale=1.4, cov=[[0.9, 0.2], [0.2, 1.2]])
     ts_divergence(wrap_ts(pi, choose_r(2.0, 0.1)), 2.0)
-    assert nodes and type(nodes[0]) is np.ndarray and nodes[0].shape == (154,)
+    assert nodes and type(nodes[0]) is np.ndarray and nodes[0].shape == (22,)
     assert all(type(z) is np.ndarray and z.shape == (44,) for z in nodes[1:])
 
     grid = np.concatenate([*nodes, np.linspace(-40.0, 40.0, 4001), [-0.0, 1e-300, 37.5]])

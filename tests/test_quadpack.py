@@ -6,6 +6,7 @@
 also its error flag and subinterval count.
 """
 
+import functools
 import inspect
 import math
 import re
@@ -70,19 +71,45 @@ def test_gaussian_mass_matches_quad_on_a_grid(monkeypatch):
     assert calls  # the extrapolation runs on part of the grid
 
 
-def test_gaussian_mass_matches_quad_over_a_certified_lints_episode(monkeypatch):
-    # every z0 of the first criterion-4 LinTS episode (alpha 2, epsilon 0.1),
-    # which certifies its 2,000 steps in blocks
+@functools.cache
+def _episode_blocks():
+    """The z0 values of the first criterion-4 LinTS episode (alpha 2, epsilon
+    0.1) in the blocks it certifies its 2,000 steps in."""
     blocks = []
     masses = adversarial._gaussian_masses_below_quad
-    monkeypatch.setattr(
-        adversarial, "_gaussian_masses_below_quad", lambda z0s: blocks.append(z0s) or masses(z0s)
-    )
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=4242, spawn_key=(0,)))
-    adversarial.run_adversarial_episode("lints", (1.0, 0.0), 2.0, 0.1, 2000, rng, gamma=0.9)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            adversarial, "_gaussian_masses_below_quad", lambda z0s: blocks.append(z0s) or masses(z0s)
+        )
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=4242, spawn_key=(0,)))
+        adversarial.run_adversarial_episode("lints", (1.0, 0.0), 2.0, 0.1, 2000, rng, gamma=0.9)
+    return blocks
+
+
+def test_gaussian_mass_matches_quad_over_a_certified_lints_episode():
+    blocks = _episode_blocks()
     assert [len(b) for b in blocks] == [64] * 31 + [16]
     assert _mismatches([z0 for b in blocks for z0 in b]) == []
+
+
+@pytest.mark.parametrize("size", [1, 64])
+def test_a_batch_calls_the_density_once_per_subinterval_of_its_longest_integral(size):
+    # the integrals of a batch advance in lockstep: the first call evaluates
+    # every [a, b], each later one the two halves of every unfinished
+    # integral's next bisection
+    z0s = [z0 for b in _episode_blocks() for z0 in b]
+    for i in range(0, len(z0s), size):
+        calls = []
+
+        def density(x):
+            calls.append(x.size)
+            return norm_pdf(x)
+
+        ends = [(max(-38.0, z0 - 24.0), z0) for z0 in z0s[i:i + size]]
+        results = qags_many(density, ends, epsabs=1e-12, epsrel=1.49e-8, limit=200)
+        assert len(calls) == max(last for *_, last in results)
+        assert calls[0] == 22 * len(ends)
+        assert all(n % 44 == 0 for n in calls[1:])
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,9 +191,10 @@ def test_hard_integrands_reach_each_error_flag_through_the_extrapolation(
 
 
 def test_a_batch_gives_each_interval_what_it_gets_alone():
-    # qags_many evaluates the rules of the whole batch up front and shares
-    # them by interval ends; each result is still its interval's alone, an
-    # interval repeated in the batch included
+    # qags_many advances the integrals of a batch in lockstep and evaluates
+    # the rules they ask for in one density call a round; a rule depends on
+    # its interval's ends only, so each result is still its interval's alone,
+    # an interval repeated in the batch included
     def bits(results):
         return [(r.hex(), e.hex(), ier, last) for r, e, ier, last in results]
 
