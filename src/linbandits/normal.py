@@ -8,11 +8,12 @@ SciPy's ``scipy.special.ndtri`` runs, evaluated with ``math.log`` and
 ``math.sqrt`` and pinned bit for bit to SciPy; so a bandit run never loads
 ``scipy.special``. Arrays of levels and the CDF use SciPy's ``ndtri`` and
 ``ndtr``. The density stays on numpy's ``exp``: it is the integrand of
-``quadpack.qags_many``, the QUADPACK port that gives the certified LinTS
-adversary's region masses and is pinned bit for bit to
-``scipy.integrate.quad``. The port evaluates it on arrays of nodes and
-``quad`` on one float at a time, which goes through the same array path as
-a 0-d array, so the two agree to the last bit.
+``quadpack.qags_many`` for the certified LinTS adversary's region masses,
+pinned bit for bit to ``scipy.integrate.quad``. The port evaluates it on
+arrays of nodes and ``quad`` on one float at a time, which goes through the
+same array path as a 0-d array, so the two agree to the last bit. (The
+port's other caller, the divergence quadrature, exponentiates with
+``math.exp``: its values are pinned to ``quad`` on a scalar integrand.)
 """
 
 from __future__ import annotations

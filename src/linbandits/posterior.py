@@ -168,27 +168,22 @@ class GaussianPosterior:
             raise ValueError("operation requires a univariate law")
         return float(self.mean[0]), math.sqrt(float(self.covariance[0, 0]))
 
-    def logpdf(self, x) -> np.ndarray | float:
+    def logpdf(self, x) -> np.ndarray:
         """Log-density at one point or at an ``(n, dim)`` array of points.
 
-        A univariate law given a Python float returns a Python float and
-        touches no array: the quadrature integrands evaluate one point per
-        call. Univariate points standardize as ``(x - mean) / sd`` on both
-        paths, so a point's log-density does not depend on how points are
-        batched: ``logpdf(x) == logpdf([x, ...])[0]`` bit for bit. (A
-        triangular solve would divide for one point but multiply by the
-        reciprocal for several.)
+        Univariate points standardize as ``(x - mean) / sd`` elementwise, so
+        a point's log-density does not depend on how points are batched:
+        ``logpdf([x])[0] == logpdf([x, ...])[0]`` bit for bit, which the
+        divergence quadrature's pinned values rely on. (A triangular solve
+        would divide for one point but multiply by the reciprocal for
+        several.)
         """
         if self.dim == 1:
             mu, sd = self._scalar
-            if isinstance(x, float):
-                z = (x - mu) / sd
-                return -0.5 * (z * z) - 0.5 * self._logdet - _LOG_SQRT_2PI
             x = np.asarray(x, dtype=float)
             # flat arrays and (n, 1) columns are n scalar points
             if x.ndim > 2 or (x.ndim == 2 and x.shape[1] != 1):
                 raise ValueError("univariate points must be a flat or an (n, 1) array")
-            # the float path's operations, in place on one array
             z = x.reshape(-1) - mu
             z /= sd
             z *= z

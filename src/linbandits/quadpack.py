@@ -1,12 +1,17 @@
 """QUADPACK's QAGS (``dqagse``) in Python and numpy, pinned bit for bit to
-the ``scipy.integrate.quad`` that runs it on a finite interval.
+the ``scipy.integrate.quad`` that runs it on a finite interval. It is the
+package's one quadrature, with two callers: the certified LinTS
+adversary's region masses (``adversarial.ts_divergences``) and the 1-d
+divergence quadrature (``divergence._quadrature``, one integral per piece
+between the laws' cuts).
 
 Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner (1983): globally adaptive
 bisection with the 21-point Gauss-Kronrod rule (``dqk21``), an error list
 kept in descending order (``dqpsrt``) and Wynn's epsilon extrapolation
 (``dqelg``). Every floating-point operation runs in QUADPACK's order, so
 value, error estimate, ``ier`` and ``last`` match SciPy's (tests pin them on
-the certified LinTS adversary's integrand and on hard integrands).
+the certified LinTS adversary's integrand, on the divergence quadrature of
+cut-free pairs and on hard integrands).
 
 What differs is how the work is batched. numpy evaluates ``dqk21`` on many
 intervals at once (``_rules``): the nodes, the pair sums and the products

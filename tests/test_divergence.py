@@ -26,6 +26,7 @@ from linbandits import verify
 from linbandits.posterior import GaussianPosterior
 from linbandits.linalg import ConfidenceParams
 from linbandits.normal import norm_cdf
+from reference import quad_alpha_divergence
 
 
 def test_identical_distributions_have_zero_divergence():
@@ -91,18 +92,18 @@ def test_univariate_logpdf_float_and_array_paths():
     column = g.logpdf(xs.reshape(-1, 1))
     np.testing.assert_allclose(flat, exact, rtol=1e-12)
     np.testing.assert_array_equal(column, flat)
-    for x, want in zip(xs.tolist(), exact):
-        got = g.logpdf(x)
-        assert type(got) is float
-        assert got == pytest.approx(want, rel=1e-12)
-        assert got == g.logpdf([x])[0]  # bit-identical to a one-point array
+    for x, want, in_batch in zip(xs.tolist(), exact, flat):
+        got = g.logpdf(x)  # a float is a one-point array
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(want, rel=1e-12)
+        assert got[0] == in_batch  # bit-identical to the batch
 
 
 def test_univariate_logpdf_does_not_depend_on_batching():
     g = GaussianPosterior([-0.41], 1.0, [[2.7]])
     xs = np.random.default_rng(22).normal(0.0, 3.0, size=2000)
     batched = g.logpdf(xs)
-    singles = np.array([g.logpdf(x) for x in xs.tolist()])
+    singles = np.concatenate([g.logpdf([x]) for x in xs.tolist()])
     np.testing.assert_array_equal(batched, singles)
     np.testing.assert_array_equal(g.logpdf(xs[:7].reshape(-1, 1)), singles[:7])
     np.testing.assert_array_equal(g.logpdf(xs[:1]), singles[:1])
@@ -152,6 +153,108 @@ def test_quadrature_tracks_closed_form():
             exact = alpha_divergence(g1, g2, alpha)
             quad = alpha_divergence(g1, g2, alpha, Method.QUADRATURE_1D)
             assert quad.value == pytest.approx(exact.value, abs=1e-6)
+
+
+def _blended_precision(alpha, sd1, sd2):
+    return alpha / sd1**2 + (1.0 - alpha) / sd2**2
+
+
+@pytest.mark.parametrize(
+    "alpha,sd2,want",
+    [
+        (2.0, 0.72, 1.366299104260592),
+        (2.0, 0.71, 2.9239176092726344),
+        (2.0, 0.70, math.inf),
+        (2.0, 0.69, math.inf),
+        (3.0, 0.5, math.inf),
+    ],
+)
+def test_quadrature_is_infinite_where_the_blended_precision_is_not_positive(alpha, sd2, want):
+    # the tails of p1^a p2^(1-a) decay only while a/s1^2 + (1-a)/s2^2 > 0;
+    # a truncated integral read 18.99, 494.7 and 2.9e153 on the last three
+    p1 = two_region_reweight(0.0, 1.0, 0.3, 0.8)
+    p2 = two_region_reweight(0.0, sd2, 0.1, 1.2)
+    res = alpha_divergence(p1, p2, alpha, Method.QUADRATURE_1D)
+    assert res.value == want
+    assert math.isfinite(res.error_estimate) == math.isfinite(want)
+
+
+def test_quadrature_is_infinite_exactly_where_the_gaussian_closed_form_is():
+    rng = np.random.default_rng(40)
+    infinite = 0
+    for _ in range(100):
+        sd1 = rng.uniform(0.5, 2.0)
+        for alpha in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0):
+            # half the pairs within 1 % of the sd ratio where A = 0
+            if alpha < 0.0 or alpha > 1.0:
+                edge = sd1 * math.sqrt((alpha - 1.0) / alpha)
+                sd2 = edge * rng.choice([rng.uniform(0.99, 1.01), rng.uniform(0.5, 1.5)])
+            else:
+                sd2 = rng.uniform(0.5, 2.0)
+            # one mean: finiteness does not depend on the means, and apart
+            # ones near A = 0 take the cross integral past the float range
+            mean = [rng.normal()]
+            g1 = GaussianPosterior(mean, 1.0, [[sd1**2]])
+            g2 = GaussianPosterior(mean, 1.0, [[sd2**2]])
+            exact = alpha_divergence(g1, g2, alpha)
+            quad = alpha_divergence(g1, g2, alpha, Method.QUADRATURE_1D)
+            assert quad.finite == exact.finite, (alpha, sd1, sd2)
+            assert quad.finite == math.isfinite(quad.error_estimate)
+            infinite += not exact.finite
+    assert 100 < infinite < 400
+
+
+def _random_base(rng):
+    return rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
+
+
+def test_quadrature_keeps_the_bits_of_scipy_quad_on_cut_free_pairs():
+    # QAGS on the one piece is what quad runs without breakpoints; a law so
+    # narrow that the first rule misses its peak gives quad's -0.0
+    narrow = GaussianPosterior([-0.8], 1.0, [[0.015**2]])
+    wide = GaussianPosterior([0.6], 1.0, [[1.7**2]])
+    res = alpha_divergence(narrow, wide, 1.0, Method.QUADRATURE_1D)
+    want = quad_alpha_divergence(narrow, wide, 1.0, narrow._scalar, wide._scalar)
+    assert (res.value.hex(), res.error_estimate.hex()) == ("-0x0.0p+0", "0x0.0p+0")
+    assert tuple(v.hex() for v in want) == ("-0x0.0p+0", "0x0.0p+0")
+    rng = np.random.default_rng(41)
+    compared = 0
+    for i in range(200):
+        (mu1, sd1), (mu2, sd2) = _random_base(rng), _random_base(rng)
+        p1 = GaussianPosterior([mu1], 1.0, [[sd1**2]])
+        if i % 2:
+            p2 = GaussianPosterior([mu2], 1.0, [[sd2**2]])
+        else:
+            p2 = ReweightedGaussian1D(mu2, sd2, [], [1.0])
+        base1, base2 = p1._scalar, (p2._scalar if i % 2 else (mu2, sd2))
+        for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0):
+            if _blended_precision(alpha, base1[1], base2[1]) <= 0.0:
+                continue
+            res = alpha_divergence(p1, p2, alpha, Method.QUADRATURE_1D)
+            want = quad_alpha_divergence(p1, p2, alpha, base1, base2)
+            assert (res.value.hex(), res.error_estimate.hex()) == tuple(v.hex() for v in want)
+            compared += 1
+    assert compared > 1000
+
+
+def test_quadrature_agrees_with_scipy_quad_on_pairs_with_cuts():
+    # QAGS on each piece between the cuts, against QAGP over the whole interval
+    rng = np.random.default_rng(42)
+    compared = 0
+    for _ in range(60):
+        (mu1, sd1), (mu2, sd2) = _random_base(rng), _random_base(rng)
+        p1 = two_region_reweight(mu1, sd1, mu1 + rng.normal(0.0, sd1), rng.uniform(0.3, 1.0))
+        p2 = two_region_reweight(mu2, sd2, mu2 + rng.normal(0.0, sd2), rng.uniform(0.3, 1.0))
+        for alpha in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0):
+            if _blended_precision(alpha, sd1, sd2) <= 0.0:
+                continue
+            res = alpha_divergence(p1, p2, alpha, Method.QUADRATURE_1D)
+            value, err = quad_alpha_divergence(
+                p1, p2, alpha, (mu1, sd1), (mu2, sd2), (*p1.cuts, *p2.cuts)
+            )
+            assert abs(res.value - value) <= res.error_estimate + err
+            compared += 1
+    assert compared > 200
 
 
 def test_monte_carlo_tracks_closed_form():
@@ -543,7 +646,9 @@ def test_divergence_suite_flags_biased_monte_carlo(monkeypatch):
 # while ``divergence`` still had a Gaussian class of its own; every route and
 # transform must still give them through ``GaussianPosterior(mean, 1.0, cov)``.
 # The reweighted law's cell masses come from ``norm_cdf``; its entries were
-# re-recorded when that became ``scipy.special.ndtr``.
+# re-recorded when that became ``scipy.special.ndtr``. The ``quad_reweighted``
+# entries were re-recorded when the quadrature went from QAGP over the whole
+# interval to QAGS on each piece between the cuts.
 _DESCRIPTOR_GOLDEN = {
     "affine_cov": (
         "0x1.e000000000000p+0", "0x1.8f5c28f5c28f6p-1", "0x1.8f5c28f5c28f5p-1",
@@ -596,11 +701,11 @@ _DESCRIPTOR_GOLDEN = {
     "quad_d1_0.5": ("0x1.489d82618b7c0p-3", "0x1.22ca989240000p-38"),
     "quad_d1_1.0": ("0x1.9ac13b47146fbp-3", "0x1.275a8d4d80000p-40"),
     "quad_d1_2.0": ("0x1.1db1ae64a92ccp-1", "0x1.5612782400000p-36"),
-    "quad_reweighted_-1.0": ("0x1.fb0871683c5f6p-1", "0x1.8ae50fe080000p-35"),
-    "quad_reweighted_0.0": ("0x1.705ddaa19277dp-2", "0x1.750efd6690000p-40"),
-    "quad_reweighted_0.5": ("0x1.2cf77d74b8578p-2", "0x1.b58074aea0000p-38"),
-    "quad_reweighted_1.0": ("0x1.0ba19bc2cd3bep-2", "0x1.43a2217d00000p-38"),
-    "quad_reweighted_2.0": ("0x1.ef0c82ec0dd44p-3", "0x1.551f9c58e8000p-35"),
+    "quad_reweighted_-1.0": ("0x1.fb0871683c5f6p-1", "0x1.8ae50fe2c0000p-35"),
+    "quad_reweighted_0.0": ("0x1.705ddaa19277dp-2", "0x1.750edd6690000p-40"),
+    "quad_reweighted_0.5": ("0x1.2cf77d74b8580p-2", "0x1.b5806caea0000p-38"),
+    "quad_reweighted_1.0": ("0x1.0ba19bc2cd3bep-2", "0x1.43a2d17d00000p-38"),
+    "quad_reweighted_2.0": ("0x1.ef0c82ec0dd44p-3", "0x1.551f96d8e8000p-35"),
     "sample_d1": (
         "0x1.3495ecd055662p-2", "0x1.41da7e1b22756p-1", "-0x1.96c0dba7de100p-10",
         "-0x1.5bfb3805cdab6p-1",
@@ -622,10 +727,8 @@ def _descriptor_bits() -> dict[str, list[str]]:
     g2 = GaussianPosterior([-0.2], 1.0, [[0.81]])
     big1 = GaussianPosterior([0.5, 0.0], 1.0, [[1.5, 0.2], [0.2, 0.7]])
     big2 = GaussianPosterior([-0.3, 0.4], 1.0, [[1.0, 0.3], [0.3, 2.0]])
-    point = g1.logpdf(0.7)
-    assert isinstance(point, float)
     out = {
-        "logpdf_float_d1": hx(point),
+        "logpdf_float_d1": hx(g1.logpdf(0.7)),
         "logpdf_array_d1": hx(g1.logpdf([0.7, -1.3, 2.2])),
         "logpdf_column_d1": hx(g1.logpdf(np.array([[0.7], [-1.3]]))),
         "logpdf_array_d2": hx(big1.logpdf([[0.1, 0.2], [-1.0, 0.5], [2.0, -0.3]])),

@@ -97,6 +97,15 @@ def test_lints_adversary_loads_only_scipy_special():
     assert not loaded & (_HEAVY | {"scipy.sparse"})
 
 
+def test_verify_divergence_loads_only_scipy_special():
+    # the 1-d quadrature route runs on the QUADPACK port too
+    loaded = _scipy_modules_after(
+        "from linbandits.cli import main\nassert main(['verify', '--suite', 'divergence']) == 0"
+    )
+    assert "scipy.special" in loaded
+    assert not loaded & (_HEAVY | {"scipy.sparse"})
+
+
 def test_package_root_defines_only_its_version():
     script = (
         "import json, sys, linbandits\n"
